@@ -1,26 +1,26 @@
-"""E21 — the columnar interned-term core vs. the indexed object engine.
+"""E21 — the columnar interned-term core vs. the legacy object engine.
 
-PR 9 added a third chase engine (``engine="columnar"``) whose hot loop
-runs entirely on dense integer term ids: an interner with lazy NDV
-materialisation, flat append-only column stores, per-IND satisfaction
-dicts keyed by id tuples, a union-find for FD/EGD merges, and semi-naive
-FD deltas as integer watermark cursors.  The object engine pays Term
-hashing, Conjunct allocation, and string-keyed index maintenance on
-every fact; the columnar engine defers all of that to one
-materialisation pass at the result boundary.
+The columnar engine (``engine="columnar"``, the production default) runs
+its hot loop entirely on dense integer term ids: an interner with lazy
+NDV materialisation, flat append-only column stores, per-IND
+satisfaction dicts keyed by id tuples, a union-find for FD/EGD merges,
+and semi-naive FD deltas as integer watermark cursors.  The legacy
+object engine (the reference oracle) pays Term hashing, Conjunct
+allocation, and string-keyed index maintenance on every fact; the
+columnar engine defers all of that to one materialisation pass at the
+result boundary.
 
 * **speedup** (the acceptance criterion): on a deep branching IND chase
   the columnar engine must finish at least ``COLUMNAR_SPEEDUP_FLOOR``
-  times faster than the indexed engine, min-over-rounds against
+  times faster than the legacy engine, min-over-rounds against
   min-over-rounds (mins, not means, so scheduler noise on a loaded CI
   runner cannot manufacture or mask a regression);
 * **certification**: both engines build the identical chase node for
   node — same ids, levels, relations, and materialised terms;
 * **no generality price**: E18's embedded-dependency workload (general
-  TGDs through the shared trigger index) must cost at most
-  ``EMBEDDED_PRICE_CEILING`` under the columnar engine relative to the
-  indexed engine — the columnar core may not buy its IND speed by
-  slowing the general path down.
+  TGDs) must cost at most ``EMBEDDED_PRICE_CEILING`` under the columnar
+  engine relative to the legacy engine — the columnar core may not buy
+  its IND speed by slowing the general path down.
 """
 
 from __future__ import annotations
@@ -39,15 +39,13 @@ from repro.workloads import (
     SchemaGenerator,
 )
 
-#: The columnar engine must beat the indexed engine by at least this
-#: factor on the deep-chase workload.  Measured ~2.4x on the reference
-#: machine; the floor keeps CI headroom while still catching a slide
-#: back into object-per-fact territory.
+#: The columnar engine must beat the legacy engine by at least this
+#: factor on the deep-chase workload.  The floor keeps CI headroom while
+#: still catching a slide back into object-per-fact territory.
 COLUMNAR_SPEEDUP_FLOOR = 2.0
 
-#: The columnar engine may cost at most this many times the indexed
-#: engine on E18's general-TGD workload (both engines share the
-#: semi-naive trigger index there; measured ~1.0x).
+#: The columnar engine may cost at most this many times the legacy
+#: engine on E18's general-TGD workload.
 EMBEDDED_PRICE_CEILING = 1.2
 
 
@@ -101,7 +99,7 @@ def node_signature(result):
 
 
 @pytest.mark.benchmark(group="E21-columnar-chase")
-@pytest.mark.parametrize("engine", ["indexed", "columnar"])
+@pytest.mark.parametrize("engine", ["legacy", "columnar"])
 def test_e21_deep_chase_throughput(benchmark, deep_ind_workload, engine):
     """Time the budget-bounded deep chase under each engine."""
     _, sigma, query = deep_ind_workload
@@ -124,20 +122,20 @@ def test_e21_columnar_speedup_and_certification(benchmark, deep_ind_workload):
         return result
 
     columnar_result = benchmark.pedantic(columnar_run, rounds=5, iterations=1)
-    indexed_times = []
+    legacy_times = []
     for _ in range(5):
         started = time.perf_counter()
-        indexed_result = run_deep_chase(query, sigma, "indexed")
-        indexed_times.append(time.perf_counter() - started)
+        legacy_result = run_deep_chase(query, sigma, "legacy")
+        legacy_times.append(time.perf_counter() - started)
 
     # Node-for-node certification (ids, levels, relations, terms).
-    assert node_signature(columnar_result) == node_signature(indexed_result)
-    assert columnar_result.summary_row == indexed_result.summary_row
+    assert node_signature(columnar_result) == node_signature(legacy_result)
+    assert columnar_result.summary_row == legacy_result.summary_row
 
     statistics = columnar_result.statistics
-    speedup = min(indexed_times) / max(min(columnar_times), 1e-9)
-    benchmark.extra_info["experiment"] = "E21-columnar-vs-indexed"
-    benchmark.extra_info["indexed_over_columnar_wall_clock"] = round(speedup, 2)
+    speedup = min(legacy_times) / max(min(columnar_times), 1e-9)
+    benchmark.extra_info["experiment"] = "E21-columnar-vs-legacy"
+    benchmark.extra_info["legacy_over_columnar_wall_clock"] = round(speedup, 2)
     benchmark.extra_info["chase_size"] = len(columnar_result)
     benchmark.extra_info["interned_terms"] = statistics.interned_terms
     benchmark.extra_info["union_find_unions"] = statistics.union_find_unions
@@ -145,7 +143,7 @@ def test_e21_columnar_speedup_and_certification(benchmark, deep_ind_workload):
     benchmark.extra_info["column_probes"] = statistics.column_probes
     assert statistics.interned_terms > 0
     assert speedup >= COLUMNAR_SPEEDUP_FLOOR, (
-        f"columnar engine was only {speedup:.2f}x faster than indexed; "
+        f"columnar engine was only {speedup:.2f}x faster than legacy; "
         f"floor is {COLUMNAR_SPEEDUP_FLOOR}x")
 
 
@@ -163,23 +161,23 @@ def test_e21_embedded_price_under_columnar(benchmark, embedded_workload):
         return result
 
     columnar_result = benchmark.pedantic(columnar_run, rounds=5, iterations=1)
-    indexed_times = []
+    legacy_times = []
     for _ in range(5):
         started = time.perf_counter()
-        indexed_result = run_embedded_chase(query, tgds, "indexed")
-        indexed_times.append(time.perf_counter() - started)
+        legacy_result = run_embedded_chase(query, tgds, "legacy")
+        legacy_times.append(time.perf_counter() - started)
 
-    assert columnar_result.saturated and indexed_result.saturated
-    assert node_signature(columnar_result) == node_signature(indexed_result)
+    assert columnar_result.saturated and legacy_result.saturated
+    assert node_signature(columnar_result) == node_signature(legacy_result)
 
     # The IND encoding of the same Σ rides the columnar fast path.
     ind_result = run_embedded_chase(query, inds, "columnar")
     assert ind_result.saturated
 
-    price = min(columnar_times) / max(min(indexed_times), 1e-9)
+    price = min(columnar_times) / max(min(legacy_times), 1e-9)
     benchmark.extra_info["experiment"] = "E18-under-columnar"
-    benchmark.extra_info["columnar_over_indexed_wall_clock"] = round(price, 2)
+    benchmark.extra_info["columnar_over_legacy_wall_clock"] = round(price, 2)
     benchmark.extra_info["chase_size"] = len(columnar_result)
     assert price <= EMBEDDED_PRICE_CEILING, (
-        f"the columnar engine cost {price:.2f}x the indexed engine on the "
+        f"the columnar engine cost {price:.2f}x the legacy engine on the "
         f"embedded workload; ceiling is {EMBEDDED_PRICE_CEILING}x")

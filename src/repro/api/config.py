@@ -79,12 +79,11 @@ class SolverConfig:
     including the ones inside containment decisions and view rewriting):
 
     chase_engine:
-        Any name in the chase-engine registry: ``"indexed"``
-        (incremental per-relation indexes, the default), ``"columnar"``
-        (the interned-integer columnar core), or ``"legacy"`` (the seed
-        scan-and-rebuild engine, kept for the differential test
-        harness).  ``None`` defers to the ``REPRO_CHASE_ENGINE``
-        environment variable and then to ``"indexed"``.
+        ``"columnar"`` (the interned-integer columnar core, the
+        default) or ``"legacy"`` (the seed scan-and-rebuild engine, kept
+        as the differential test harness's oracle).  ``None`` defers to
+        the ``REPRO_CHASE_ENGINE`` environment variable and then to
+        ``"columnar"``.
 
     View-rewriting knobs (used by :meth:`Solver.rewrite`):
 
@@ -212,7 +211,7 @@ class SolverConfig:
         The chase engine is part of the key so a differential harness
         running both engines against one solver never shares answers
         between them; ``None`` is resolved first so an explicit
-        ``"indexed"`` and the default hit the same entries.
+        ``"columnar"`` and the default hit the same entries.
         """
         return (self.variant, self.level_bound, self.max_conjuncts,
                 self.record_trace, self.with_certificate, self.deepening,

@@ -282,7 +282,7 @@ class Solver:
         # The display name rides along because ChaseResult.query (and the
         # reports derived from it) surface it; content fingerprints alone
         # would conflate equal queries with different names.  The resolved
-        # engine name is part of the key so legacy and indexed runs of the
+        # engine name is part of the key so legacy and columnar runs of the
         # differential harness never share a result.
         key = (
             query.name,

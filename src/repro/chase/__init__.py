@@ -30,9 +30,7 @@ from repro.chase.events import (
 )
 from repro.chase.chase_graph import ChaseArc, ChaseGraph, ChaseNode
 from repro.chase.engine import (
-    CHASE_ENGINES,
     ChaseConfig,
-    ChaseEngine,
     ChaseResult,
     ChaseStatistics,
     ChaseVariant,
@@ -40,13 +38,12 @@ from repro.chase.engine import (
     chase,
     o_chase,
     r_chase,
-    resolve_engine_name,
 )
 from repro.chase.registry import (
     ChaseEngineProtocol,
     available_engines,
     create_engine,
-    register_engine,
+    resolve_engine_name,
     validate_engine_name,
 )
 from repro.chase.columnar import ColumnarChaseEngine
@@ -64,10 +61,8 @@ from repro.chase.termination import (
 )
 
 __all__ = [
-    "CHASE_ENGINES",
     "ChaseArc",
     "ChaseConfig",
-    "ChaseEngine",
     "ChaseEngineProtocol",
     "ChaseGraph",
     "ChaseNode",
@@ -91,7 +86,6 @@ __all__ = [
     "build_engine",
     "chase",
     "create_engine",
-    "register_engine",
     "resolve_engine_name",
     "validate_engine_name",
     "chase_guaranteed_finite",

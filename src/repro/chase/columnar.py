@@ -1,13 +1,13 @@
 """The columnar chase engine: an interned-term core (``engine="columnar"``).
 
-The object-graph engines chase over :class:`~repro.terms.term.Term`
-objects held on :class:`~repro.queries.conjunct.Conjunct` tuples; every
-index key hashes term objects (and therefore strings), every FD/EGD merge
-rewrites whole conjuncts, and every fresh NDV formats its provenance name
-eagerly.  This engine keeps the *policy* — minimum level,
-lexicographically first conjunct, lexicographically first dependency,
-certified node for node against the indexed engine — but moves the hot
-core onto dense integers:
+The legacy engine chases over :class:`~repro.terms.term.Term` objects
+held on :class:`~repro.queries.conjunct.Conjunct` tuples; every index key
+hashes term objects (and therefore strings), every FD/EGD merge rewrites
+whole conjuncts, and every fresh NDV formats its provenance name
+eagerly.  This engine — the production default — keeps the *policy* —
+minimum level, lexicographically first conjunct, lexicographically first
+dependency, certified node for node against the legacy oracle — but
+moves the hot core onto dense integers:
 
 * a process-local **term interner** maps constants, variables, and
   chase-created NDVs to dense int ids; NDVs are interned *lazily* (a
@@ -19,8 +19,8 @@ core onto dense integers:
   merged-away id instead of walking a term-occurrence map of objects;
 * EGD/FD merges go through a **union-find** with path compression: the
   loser id is unioned into the survivor and affected atom keys are
-  re-canonicalised from the raw (never rewritten) column cells, replacing
-  the indexed engine's per-node conjunct-substitution cascade;
+  re-canonicalised from the raw (never rewritten) column cells instead
+  of cascading a substitution through every affected conjunct;
 * the FD fixpoint's delta is **semi-naive over integer ranges**: a
   per-relation row watermark marks everything appended since the last
   fixpoint dirty, plus the ids re-canonicalised by merges — cursors over
@@ -28,7 +28,7 @@ core onto dense integers:
 * IND applications and *fast* TGDs (single trivial body atom, single
   head atom — every IND-expressible rule qualifies) share one pending
   heap keyed ``(level, node id, kind, dependency index)``, realising the
-  engines' combined IND-vs-TGD competition
+  policy's combined IND-vs-TGD competition
   ``(level, node-id tuple, kind, index)`` without the general trigger
   machinery.  General TGDs and all EGDs run through the shared
   :class:`SemiNaiveTriggerIndex` over a columnar
@@ -37,12 +37,9 @@ core onto dense integers:
 The engine materialises real :class:`~repro.chase.chase_graph.ChaseNode`
 objects — identical ids, levels, labels, terms, arcs, and trace events —
 only when building the :class:`ChaseResult`, so the differential harness
-certifies it with the same node-for-node comparison it applies to the
-other engines, and everything downstream (containment, solver, service,
-fleet, observability) picks it up from the registry with no changes
-beyond the engine name.  It does not batch commuting TGD triggers (heap
-re-selection is cheap here), so like the legacy engine its batching
-counters stay at zero.
+certifies it against the legacy engine with a node-for-node
+comparison, and everything downstream (containment, solver, service,
+fleet, observability) sees only :class:`ChaseResult` objects.
 """
 
 from __future__ import annotations
@@ -263,7 +260,7 @@ class ColumnarChaseEngine:
         self._cross_arcs: List[Tuple[int, int, object]] = []
         self._result_graph: Optional[ChaseGraph] = None
 
-        # -- dependency metadata (mirrors the indexed engine's) ----------
+        # -- dependency metadata -------------------------------------------
         self._ind_positions: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
         self._inds_by_source: Dict[str, List[int]] = {}
         self._inds_by_target: Dict[str, List[int]] = {}
@@ -380,7 +377,7 @@ class ColumnarChaseEngine:
         self._duplicate_keys: Set[Tuple[str, Tuple[int, ...]]] = set()
         #: Semi-naive FD delta: per-FD-relation row watermark (rows at or
         #: past it were appended since the last fixpoint) plus the nodes
-        #: re-canonicalised by merges — the indexed engine's dirty set, as
+        #: re-canonicalised by merges — a semi-naive dirty set, as
         #: integer cursors over the append-only column segments.
         self._fd_watermarks: Dict[str, int] = {
             relation: 0 for relation in self._fd_specs_by_relation}
@@ -786,8 +783,8 @@ class ColumnarChaseEngine:
         """Lexicographically first applicable (FD, pair of conjuncts).
 
         Probes only the delta — rows appended past the watermarks plus
-        nodes rewritten by merges — against the determinant buckets: the
-        indexed engine's semi-naive FD discovery over integer cursors.
+        nodes rewritten by merges — against the determinant buckets:
+        semi-naive FD discovery over integer cursors.
         Taking the global minimum over all candidates makes probe order
         (and the occasional double probe of a node that is both new and
         rewritten) irrelevant to the choice.
@@ -1078,7 +1075,7 @@ class ColumnarChaseEngine:
         The pending heap already holds the INDs and fast TGDs in combined
         priority order; only the slow (trigger-index) TGDs still compete
         through an actives scan.  The overall minimum is the same one the
-        indexed engine's one-pool competition selects, so the chosen
+        legacy engine's one-pool competition selects, so the chosen
         application — and with it every node id — agrees across engines.
         """
         entry = self._peek_pending()
@@ -1274,7 +1271,7 @@ class ColumnarChaseEngine:
     def _record_cross_arcs(self) -> None:
         """R-chase post-pass: cross arcs for satisfied requirements.
 
-        Same rule as the indexed engine: for every live conjunct c and
+        Same rule as the legacy engine: for every live conjunct c and
         IND applicable to c whose required conjunct exists, a cross arc
         from c to the first such conjunct — unless c itself has an
         ordinary arc for that IND.

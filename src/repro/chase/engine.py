@@ -19,20 +19,20 @@ The result records whether the chase *saturated* (it is the complete,
 finite chase) or was *truncated* (it is a prefix of a larger, possibly
 infinite, chase).
 
-Two implementations share this module's configuration and result types:
+Two implementations share this module's configuration and result types,
+listed in :mod:`repro.chase.registry`:
 
-* :class:`ChaseEngine` (the default, ``engine="indexed"``) maintains
-  persistent per-relation indexes — FD determinant buckets, an exact-atom
-  index, a term-occurrence index, and R-chase requirement buckets — all
-  updated incrementally on node insert/rewrite/merge.  The FD fixpoint is
-  delta-driven (semi-naive): only conjuncts touched since the last
-  fixpoint are probed, and only against the nodes sharing their
-  determinant values, so trigger discovery never rescans the whole chase.
+* :class:`~repro.chase.columnar.ColumnarChaseEngine` (the default,
+  ``engine="columnar"``) runs the chase over interned integer terms,
+  flat columns with per-column posting indexes, and a union-find for
+  FD/EGD merges; its FD fixpoint and TGD/EGD trigger discovery are
+  delta-driven (semi-naive), so trigger discovery never rescans the
+  whole chase.
 * :class:`~repro.chase.legacy_engine.LegacyChaseEngine`
   (``engine="legacy"``) is the seed implementation: pairwise FD scans and
   full index rebuilds after every FD application.  It is kept as the
-  semantic reference the differential test harness certifies the indexed
-  engine against.
+  semantic reference the differential test harness certifies the
+  columnar engine against.
 
 Both follow the identical deterministic policy — minimum level,
 lexicographically first conjunct, lexicographically first dependency —
@@ -43,53 +43,25 @@ id, IND index)``, which realises the paper's selection rule.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.chase.chase_graph import ChaseGraph, ChaseNode
-from repro.chase.embedded_triggers import (
-    EGDTrigger,
-    SemiNaiveTriggerIndex,
-    TGDTrigger,
+from repro.chase.chase_graph import ChaseGraph
+from repro.chase.events import ChaseTrace
+from repro.chase.registry import (
+    create_engine,
+    resolve_engine_name,
+    validate_engine_name,
 )
-from repro.chase.events import (
-    ChaseTrace,
-    EGDApplication,
-    FDApplication,
-    INDApplication,
-    TGDApplication,
-)
-from repro.chase.fd_chase import ConstantClash, resolve_merge
 from repro.dependencies.dependency_set import DependencySet
-from repro.dependencies.functional import FunctionalDependency
-from repro.dependencies.inclusion import InclusionDependency
 from repro.exceptions import ChaseError
 from repro.obs import probe as _probe
 from repro.obs.clock import monotonic
 from repro.obs.tracing import current_span, maybe_span
 from repro.queries.conjunct import Conjunct
 from repro.queries.conjunctive_query import ConjunctiveQuery
-from repro.relational.schema import DatabaseSchema
-from repro.terms.naming import FreshVariableFactory, NDVProvenance
-from repro.terms.substitution import Substitution
-from repro.terms.term import Term, Variable
-
-# Engine selection lives in the registry; these re-exports keep the
-# historical import path (``from repro.chase.engine import ...``) working.
-# ``CHASE_ENGINES`` is a deprecated read-only view over the registry.
-from repro.chase.registry import (  # noqa: E402  (re-export)
-    CHASE_ENGINE_ENV_VAR,  # noqa: F401  (re-export)
-    CHASE_ENGINES,  # noqa: F401  (re-export)
-    ChaseEngineProtocol,  # noqa: F401  (re-export)
-    available_engines,  # noqa: F401  (re-export)
-    create_engine,
-    register_engine,
-    resolve_engine_name,
-    validate_engine_name,
-)
+from repro.terms.term import Term
 
 
 class ChaseVariant(Enum):
@@ -107,10 +79,9 @@ class ChaseConfig:
     unbounded (use together with ``max_conjuncts``).  ``max_conjuncts``
     bounds the total number of live conjuncts and always applies.
     ``record_trace`` can be switched off for large benchmark runs.
-    ``engine`` selects the implementation by registry name (``"indexed"``,
-    ``"legacy"``, ``"columnar"``, or anything registered through
-    :func:`repro.chase.registry.register_engine`); ``None`` defers to
-    ``$REPRO_CHASE_ENGINE`` / the indexed default.
+    ``engine`` selects the implementation by name (``"columnar"`` or
+    ``"legacy"``, see :mod:`repro.chase.registry`); ``None`` defers to
+    ``$REPRO_CHASE_ENGINE`` / the columnar default.
     """
 
     variant: ChaseVariant = ChaseVariant.RESTRICTED
@@ -152,7 +123,7 @@ class ChaseStatistics:
         Conjuncts retired because an FD/EGD merge made them identical to
         an earlier conjunct.
 
-    Work accounting (the indexed-vs-legacy benchmark compares these):
+    Work accounting (the columnar-vs-legacy benchmark compares these):
 
     ``triggers_examined``
         Candidate (dependency, conjunct) triggers the engine inspected:
@@ -163,7 +134,7 @@ class ChaseStatistics:
         satisfied R-chase requirement, a verbatim duplicate detected on
         IND application, or an FD determinant bucket with candidates.
 
-    Semi-naive TGD/EGD accounting (indexed engine only; the legacy
+    Semi-naive TGD/EGD accounting (columnar engine only; the legacy
     engine re-enumerates every body match per round and leaves these
     at zero):
 
@@ -176,14 +147,9 @@ class ChaseStatistics:
         non-violating EGD match never re-checked, a satisfied R-chase
         head never re-joined, or an unsatisfied head skipped because
         neither its head relations nor its frontier values changed.
-    ``tgd_batches`` / ``batched_tgd_triggers``
-        Selection rounds that queued extra *commuting* TGD triggers
-        (disjoint body/head relation footprints, all ahead of every
-        pending IND), and how many triggers were applied straight off
-        that queue without a fresh selection scan.
 
-    Columnar-core accounting (columnar engine only; the object-graph
-    engines leave these at zero):
+    Columnar-core accounting (columnar engine only; the legacy engine
+    leaves these at zero):
 
     ``interned_terms``
         Distinct terms interned into dense integer ids over the run —
@@ -210,8 +176,6 @@ class ChaseStatistics:
     redundant_tgd_applications: int = 0
     delta_seeded_matches: int = 0
     trigger_cache_hits: int = 0
-    tgd_batches: int = 0
-    batched_tgd_triggers: int = 0
     interned_terms: int = 0
     union_find_unions: int = 0
     union_find_finds: int = 0
@@ -253,7 +217,7 @@ class ChaseResult:
     Results may be shared across calls by a solver's chase cache (the
     module-level :func:`chase` serves them), so treat a result — graph,
     statistics, and trace included — as immutable once returned;
-    instantiate :class:`ChaseEngine` directly for a private, fresh run.
+    run :func:`build_engine` for a private, fresh run.
 
     ``failed`` means an FD application tried to merge two distinct
     constants; following the paper, the chased query is then the empty
@@ -273,12 +237,12 @@ class ChaseResult:
     truncated: bool
     statistics: ChaseStatistics
     trace: ChaseTrace
+    #: Which implementation built this result ("columnar" or "legacy").
+    engine: str
     #: True when the run stopped because of the conjunct (size) budget, as
     #: opposed to the level budget; containment uses this to distinguish
     #: "exact up to the Theorem 2 level bound" from "ran out of memory".
     hit_conjunct_budget: bool = False
-    #: Which implementation built this result ("indexed" or "legacy").
-    engine: str = "indexed"
     #: On a failed chase: the FD or EGD whose application clashed two
     #: distinct constants (its ``str`` form), and how many conjuncts were
     #: live at that moment — the prefix the containment report surfaces.
@@ -347,772 +311,6 @@ class ChaseResult:
         return header + "\n" + self.graph.describe()
 
 
-class _FdSpec:
-    """One FD with resolved positions and its persistent determinant index.
-
-    ``buckets`` maps a tuple of determinant values to the ids of the live
-    nodes holding those values — the (relation, determinant-positions,
-    determinant-values) → node-bucket index of the indexed engine.
-    ``order`` is the FD's position among its relation's FDs, realising
-    the "lexicographically first FD" tie-break.
-    """
-
-    __slots__ = ("fd", "order", "lhs_positions", "rhs_position", "buckets")
-
-    def __init__(self, fd: FunctionalDependency, order: int,
-                 lhs_positions: Tuple[int, ...], rhs_position: int):
-        self.fd = fd
-        self.order = order
-        self.lhs_positions = lhs_positions
-        self.rhs_position = rhs_position
-        self.buckets: Dict[Tuple[Term, ...], Set[int]] = {}
-
-
-class ChaseEngine:
-    """Builds the chase of one query with incrementally maintained indexes.
-
-    Persistent state (all updated on node insert, rewrite, and merge —
-    never rebuilt from scratch):
-
-    * per-FD determinant buckets (:class:`_FdSpec`), probed only for
-      *dirty* conjuncts during the FD fixpoint (semi-naive evaluation);
-    * an exact-atom index for duplicate detection and merge discovery;
-    * a term-occurrence index so an FD merge rewrites only the conjuncts
-      that actually contain the merged-away variable;
-    * R-chase requirement buckets keyed by (IND, source values);
-    * the pending IND heap keyed by ``(level, conjunct id, IND index)``.
-    """
-
-    engine_name = "indexed"
-
-    def __init__(self, query: ConjunctiveQuery, dependencies: DependencySet,
-                 config: Optional[ChaseConfig] = None):
-        dependencies.validate(query.input_schema)
-        self._query = query
-        self._schema: DatabaseSchema = query.input_schema
-        self._dependencies = dependencies
-        self._fds = dependencies.functional_dependencies()
-        self._inds = dependencies.inclusion_dependencies()
-        self._tgds = dependencies.tgds()
-        self._egds = dependencies.egds()
-        self._config = config or ChaseConfig()
-        self._graph = ChaseGraph()
-        self._summary: Tuple[Term, ...] = query.summary_row
-        self._fresh = FreshVariableFactory()
-        self._trace = ChaseTrace()
-        self._statistics = ChaseStatistics()
-        self._failed = False
-        self._truncated = False
-        self._failure_dependency: Optional[str] = None
-        self._failure_live_conjuncts = 0
-        self._applied_tgds: Set[Tuple[int, Tuple[int, ...]]] = set()
-
-        # Resolved column positions, one lookup per dependency.
-        self._ind_positions: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        self._inds_by_source: Dict[str, List[int]] = {}
-        self._inds_by_target: Dict[str, List[int]] = {}
-        for index, ind in enumerate(self._inds):
-            self._ind_positions[index] = (
-                ind.lhs_positions(self._schema), ind.rhs_positions(self._schema))
-            self._inds_by_source.setdefault(ind.lhs_relation, []).append(index)
-            self._inds_by_target.setdefault(ind.rhs_relation, []).append(index)
-        self._fd_specs_by_relation: Dict[str, List[_FdSpec]] = {}
-        for fd in self._fds:
-            relation = self._schema.relation(fd.relation)
-            specs = self._fd_specs_by_relation.setdefault(fd.relation, [])
-            specs.append(_FdSpec(fd, len(specs),
-                                 fd.lhs_positions(relation), fd.rhs_position(relation)))
-
-        # Persistent indexes and the work queues (see class docstring).
-        self._pending: List[Tuple[int, int, int]] = []        # (level, node_id, ind index)
-        self._applied: Set[Tuple[int, int]] = set()            # (node_id, ind index)
-        self._satisfied: Dict[Tuple[int, Tuple[Term, ...]], Set[int]] = {}
-        self._atom_nodes: Dict[Tuple[str, Tuple[Term, ...]], Set[int]] = {}
-        self._duplicate_keys: Set[Tuple[str, Tuple[Term, ...]]] = set()
-        self._term_nodes: Dict[Variable, Set[int]] = {}
-        # Live node ids per relation — only the TGD/EGD trigger search
-        # reads it, so it is maintained only when Σ has embedded rules
-        # (no overhead on the classic FD/IND hot path).
-        self._relation_nodes: Dict[str, Set[int]] = {}
-        self._track_relations = bool(self._tgds or self._egds)
-        self._dirty: Dict[int, None] = {}                      # ordered set of node ids
-        # Semi-naive trigger discovery for embedded Σ, plus the queue of
-        # commuting TGD triggers batched by one selection round.
-        self._trigger_index: Optional[SemiNaiveTriggerIndex] = (
-            SemiNaiveTriggerIndex(
-                self._tgds, self._egds, self._live_nodes,
-                self._graph.node, self._statistics,
-                oblivious=self._config.variant is ChaseVariant.OBLIVIOUS)
-            if self._track_relations else None)
-        self._batched_triggers: Deque[TGDTrigger] = deque()
-        # Relations whose new atoms could fire an equality rule; a batch
-        # of TGD triggers is only formed when no member's head touches one
-        # (so the FD/EGD fixpoint between batched applications is a no-op).
-        self._equality_relations: Set[str] = (
-            set(self._fd_specs_by_relation)
-            | {atom.relation for egd in self._egds for atom in egd.body})
-        # Per-TGD batching metadata, precomputed once per engine: the
-        # body∪head relation footprint and whether the head stays clear
-        # of every equality-watched relation.
-        self._tgd_footprints: List[Set[str]] = [
-            {atom.relation for atom in tgd.body}
-            | {atom.relation for atom in tgd.head}
-            for tgd in self._tgds]
-        self._tgd_heads_quiet: List[bool] = [
-            not any(atom.relation in self._equality_relations
-                    for atom in tgd.head)
-            for tgd in self._tgds]
-
-    def _dependency_str(self, dependency) -> str:
-        # Memoised on the (frozen, immutable) dependency itself so the
-        # rendering survives engine rebuilds over the same Σ.
-        rendered = dependency.__dict__.get("_rendered")
-        if rendered is None:
-            rendered = str(dependency)
-            object.__setattr__(dependency, "_rendered", rendered)
-        return rendered
-
-    # -- public entry point ---------------------------------------------------
-
-    @property
-    def graph(self) -> ChaseGraph:
-        """The chase graph built so far (the ``ChaseEngineProtocol`` surface)."""
-        return self._graph
-
-    @property
-    def statistics(self) -> ChaseStatistics:
-        """Work counters accumulated so far (the ``ChaseEngineProtocol`` surface)."""
-        return self._statistics
-
-    def run(self) -> ChaseResult:
-        """Execute the chase until saturation, failure, or a budget limit."""
-        return run_with_instrumentation(self)
-
-    def _run(self) -> ChaseResult:
-        for conjunct in self._query.conjuncts:
-            node = self._graph.new_node(conjunct, level=0)
-            self._register_node(node)
-
-        steps_budget = self._config.max_steps
-        hit_conjunct_budget = False
-        while True:
-            self._apply_equalities_to_fixpoint()
-            if self._failed:
-                break
-            if steps_budget is not None and self._statistics.total_steps >= steps_budget:
-                self._truncated = True
-                break
-            application = self._next_expansion()
-            if application is None:
-                break
-            if len(self._graph) >= self._config.max_conjuncts:
-                self._truncated = True
-                hit_conjunct_budget = True
-                break
-            kind, payload = application
-            if kind == "ind":
-                self._apply_ind(*payload)
-            else:
-                self._apply_tgd(payload)
-
-        if self._config.variant is ChaseVariant.RESTRICTED and not self._failed:
-            self._record_cross_arcs()
-
-        saturated = not self._failed and not self._truncated
-        return ChaseResult(
-            query=self._query,
-            variant=self._config.variant,
-            graph=self._graph,
-            summary_row=self._summary,
-            failed=self._failed,
-            saturated=saturated,
-            truncated=self._truncated,
-            statistics=self._statistics,
-            trace=self._trace,
-            hit_conjunct_budget=hit_conjunct_budget,
-            engine=self.engine_name,
-            failure_dependency=self._failure_dependency,
-            failure_live_conjuncts=self._failure_live_conjuncts,
-        )
-
-    # -- node registration and incremental index maintenance -------------------
-
-    def _register_node(self, node: ChaseNode) -> None:
-        """Enter a new node into every index and enqueue its IND applications."""
-        self._index_node(node)
-        for index in self._inds_by_source.get(node.relation, ()):
-            heapq.heappush(self._pending, (node.level, node.node_id, index))
-        self._dirty[node.node_id] = None
-        if self._trigger_index is not None:
-            self._trigger_index.touch(node)
-
-    def _index_node(self, node: ChaseNode) -> None:
-        """Insert a node's current terms into the persistent indexes."""
-        node_id = node.node_id
-        if self._track_relations:
-            self._relation_nodes.setdefault(node.relation, set()).add(node_id)
-        atoms = self._atom_nodes.setdefault((node.relation, node.conjunct.terms), set())
-        atoms.add(node_id)
-        if len(atoms) > 1:
-            self._duplicate_keys.add((node.relation, node.conjunct.terms))
-        for term in node.conjunct.terms:
-            if isinstance(term, Variable):
-                self._term_nodes.setdefault(term, set()).add(node_id)
-        for spec in self._fd_specs_by_relation.get(node.relation, ()):
-            spec.buckets.setdefault(
-                node.conjunct.terms_at(spec.lhs_positions), set()).add(node_id)
-        for index in self._inds_by_target.get(node.relation, ()):
-            self._statistics.triggers_examined += 1
-            _, rhs_positions = self._ind_positions[index]
-            key = (index, node.conjunct.terms_at(rhs_positions))
-            self._satisfied.setdefault(key, set()).add(node_id)
-
-    def _unindex_node(self, node: ChaseNode) -> None:
-        """Remove a node's current terms from the persistent indexes."""
-        node_id = node.node_id
-        if self._track_relations:
-            holders = self._relation_nodes.get(node.relation)
-            if holders is not None:
-                holders.discard(node_id)
-        key = (node.relation, node.conjunct.terms)
-        atoms = self._atom_nodes.get(key)
-        if atoms is not None:
-            atoms.discard(node_id)
-            if len(atoms) < 2:
-                self._duplicate_keys.discard(key)
-            if not atoms:
-                del self._atom_nodes[key]
-        for term in node.conjunct.terms:
-            if isinstance(term, Variable):
-                holders = self._term_nodes.get(term)
-                if holders is not None:
-                    holders.discard(node_id)
-                    if not holders:
-                        del self._term_nodes[term]
-        for spec in self._fd_specs_by_relation.get(node.relation, ()):
-            values = node.conjunct.terms_at(spec.lhs_positions)
-            bucket = spec.buckets.get(values)
-            if bucket is not None:
-                bucket.discard(node_id)
-                if not bucket:
-                    del spec.buckets[values]
-        for index in self._inds_by_target.get(node.relation, ()):
-            _, rhs_positions = self._ind_positions[index]
-            skey = (index, node.conjunct.terms_at(rhs_positions))
-            bucket = self._satisfied.get(skey)
-            if bucket is not None:
-                bucket.discard(node_id)
-                if not bucket:
-                    del self._satisfied[skey]
-
-    def _first_atom_node(self, relation: str, terms: Tuple[Term, ...]) -> Optional[int]:
-        """The earliest-created live node holding exactly this atom."""
-        bucket = self._atom_nodes.get((relation, terms))
-        if not bucket:
-            return None
-        return min(bucket)
-
-    # -- FD/EGD phase -------------------------------------------------------------
-
-    def _live_nodes(self, relation: str) -> List[ChaseNode]:
-        """Live nodes of one relation in id order (trigger-search backing).
-
-        Served from the per-relation id index (maintained alongside the
-        other persistent indexes), so a trigger search never re-scans the
-        whole chase per candidate atom; sorting the per-relation subset
-        restores the id order the deterministic policy requires.
-        """
-        holders = self._relation_nodes.get(relation)
-        if not holders:
-            return []
-        return [self._graph.node(node_id) for node_id in sorted(holders)]
-
-    def _apply_equalities_to_fixpoint(self) -> None:
-        """Step 1 of the policy, generalised: FDs to fixpoint, then EGDs.
-
-        FDs keep priority (their semi-naive discovery is cheap); whenever
-        an EGD merge rewrites terms the FD fixpoint runs again, so the
-        phase ends with no FD *and* no EGD applicable.  EGD triggers come
-        from the semi-naive index: joins are seeded from nodes touched
-        since each EGD's last round, and matches proven non-violating are
-        never re-derived.
-        """
-        self._apply_fds_to_fixpoint()
-        while self._egds and not self._failed:
-            trigger = self._trigger_index.next_egd_trigger()
-            if trigger is None:
-                return
-            self._apply_egd(trigger)
-            if not self._failed:
-                self._apply_fds_to_fixpoint()
-
-    def _apply_fds_to_fixpoint(self) -> None:
-        """Apply the FD chase rule until no FD is applicable (step 1 of the policy)."""
-        if not self._fds:
-            self._dirty.clear()
-            return
-        while not self._failed:
-            found = self._find_applicable_fd()
-            if found is None:
-                self._dirty.clear()
-                return
-            spec, first, second = found
-            self._apply_fd(spec, first, second)
-
-    def _find_applicable_fd(self) -> Optional[Tuple[_FdSpec, ChaseNode, ChaseNode]]:
-        """Lexicographically first applicable (FD, pair of conjuncts).
-
-        Only pairs involving a *dirty* node (one added or rewritten since
-        the last fixpoint) can be newly applicable.  Each dirty node is
-        probed against its FD determinant buckets — the nodes already
-        agreeing with it on the determinant — so discovery work is
-        proportional to the actual candidates, not to the square of the
-        chase.  The chosen pair is still the first in (node id, node id,
-        FD order) among the applicable ones, exactly the legacy policy.
-        """
-        best: Optional[Tuple[int, int, int, _FdSpec]] = None
-        for node_id in list(self._dirty):
-            node = self._graph.node(node_id)
-            if not node.alive:
-                del self._dirty[node_id]
-                continue
-            specs = self._fd_specs_by_relation.get(node.relation)
-            if not specs:
-                continue
-            for spec in specs:
-                values = node.conjunct.terms_at(spec.lhs_positions)
-                bucket = spec.buckets.get(values)
-                if bucket is None or len(bucket) < 2:
-                    continue
-                self._statistics.index_hits += 1
-                own_rhs = node.conjunct.term_at(spec.rhs_position)
-                for other_id in bucket:
-                    if other_id == node_id:
-                        continue
-                    self._statistics.triggers_examined += 1
-                    other = self._graph.node(other_id)
-                    if other.conjunct.term_at(spec.rhs_position) == own_rhs:
-                        continue
-                    first_id, second_id = ((node_id, other_id)
-                                           if node_id < other_id else (other_id, node_id))
-                    candidate = (first_id, second_id, spec.order, spec)
-                    if best is None or candidate[:3] < best[:3]:
-                        best = candidate
-        if best is None:
-            return None
-        return best[3], self._graph.node(best[0]), self._graph.node(best[1])
-
-    def _halt_on_clash(self, dependency: str) -> None:
-        """The paper's constant-clash case: record the prefix, empty the query."""
-        self._failed = True
-        self._failure_dependency = dependency
-        self._failure_live_conjuncts = len(self._graph)
-        for node in self._graph.nodes():
-            self._graph.retire_node(node.node_id)
-        self._dirty.clear()
-
-    def _merge_symbols(self, survivor: Term, loser: Term) -> None:
-        """Rewrite ``loser`` to ``survivor`` everywhere (incremental reindex)."""
-        if not isinstance(loser, Variable):
-            return
-        substitution = Substitution({loser: survivor})
-        affected = sorted(self._term_nodes.get(loser, ()))
-        for node_id in affected:
-            node = self._graph.node(node_id)
-            self._unindex_node(node)
-            node.conjunct = node.conjunct.substitute(substitution)
-            self._index_node(node)
-            self._dirty[node_id] = None
-            if self._trigger_index is not None:
-                self._trigger_index.touch(node)
-        self._summary = substitution.apply_tuple(self._summary)
-
-    def _apply_fd(self, spec: _FdSpec, first: ChaseNode, second: ChaseNode) -> None:
-        fd = spec.fd
-        first_symbol = first.conjunct.term_at(spec.rhs_position)
-        second_symbol = second.conjunct.term_at(spec.rhs_position)
-        self._statistics.fd_steps += 1
-        try:
-            survivor, loser = resolve_merge(first_symbol, second_symbol)
-        except ConstantClash:
-            self._record(FDApplication(
-                dependency=fd, first_conjunct=first.label, second_conjunct=second.label,
-                merged_away=None, survivor=None, halted=True))
-            self._halt_on_clash(str(fd))
-            return
-        self._record(FDApplication(
-            dependency=fd, first_conjunct=first.label, second_conjunct=second.label,
-            merged_away=loser, survivor=survivor))
-        self._merge_symbols(survivor, loser)
-        self._merge_identical_conjuncts()
-
-    def _apply_egd(self, trigger: EGDTrigger) -> None:
-        """The EGD chase rule: merge the two equated symbols (FD semantics)."""
-        self._statistics.egd_steps += 1
-        labels = tuple(node.label for node in trigger.nodes)
-        try:
-            survivor, loser = resolve_merge(trigger.first, trigger.second)
-        except ConstantClash:
-            self._record(EGDApplication(
-                dependency=trigger.egd, conjuncts=labels,
-                merged_away=None, survivor=None, halted=True))
-            self._halt_on_clash(str(trigger.egd))
-            return
-        self._record(EGDApplication(
-            dependency=trigger.egd, conjuncts=labels,
-            merged_away=loser, survivor=survivor))
-        self._merge_symbols(survivor, loser)
-        self._merge_identical_conjuncts()
-
-    def _merge_identical_conjuncts(self) -> None:
-        """Coalesce nodes that became identical atoms after a merge.
-
-        Duplicate groups are read straight off the exact-atom index (any
-        atom key held by two or more live nodes), so only actual
-        collisions are visited.  The surviving node keeps the minimum of
-        the merged levels (the paper's levelling rule); ordinary-arc
-        parents of children of the retired node are redirected to the
-        survivor so ancestor chains stay meaningful.
-        """
-        while self._duplicate_keys:
-            key = self._duplicate_keys.pop()
-            bucket = self._atom_nodes.get(key)
-            if bucket is None or len(bucket) < 2:
-                continue
-            self._statistics.index_hits += 1
-            ids = sorted(bucket)
-            survivor = self._graph.node(ids[0])
-            for retired_id in ids[1:]:
-                retired = self._graph.node(retired_id)
-                if retired.level < survivor.level:
-                    # The paper's levelling rule lowers the survivor, so
-                    # its pending-heap entries (keyed at insert-time level)
-                    # are now stale: re-key by pushing fresh entries at the
-                    # live level; the stale ones are discarded on pop.
-                    survivor.level = retired.level
-                    for index in self._inds_by_source.get(survivor.relation, ()):
-                        heapq.heappush(self._pending,
-                                       (survivor.level, survivor.node_id, index))
-                for child in self._graph.children(retired_id):
-                    child.parent = survivor.node_id
-                self._unindex_node(retired)
-                self._graph.retire_node(retired_id)
-                self._dirty.pop(retired_id, None)
-                self._statistics.merged_conjuncts += 1
-
-    # -- IND/TGD phase -----------------------------------------------------------------
-
-    def _peek_next_ind_application(
-            self) -> Optional[Tuple[int, ChaseNode, int, InclusionDependency]]:
-        """The next needed (conjunct, IND) pair, popped but not level-checked.
-
-        The pending heap is keyed by ``(level, node id, IND index)``, which
-        is exactly "minimum level, lexicographically first conjunct,
-        lexicographically first IND".  Entries whose application is no
-        longer needed (already applied in the O-chase, requirement already
-        satisfied in the R-chase, node retired by an FD merge) are
-        discarded as they surface.  The caller pushes the returned entry
-        back when it decides not to apply it.
-        """
-        oblivious = self._config.variant is ChaseVariant.OBLIVIOUS
-        while self._pending:
-            level, node_id, index = heapq.heappop(self._pending)
-            self._statistics.triggers_examined += 1
-            node = self._graph.node(node_id)
-            if not node.alive:
-                continue
-            if level != node.level:
-                # Stale key: an identical-conjunct merge lowered the node's
-                # level after this entry was pushed, and pushed a fresh
-                # entry at the live level.  Applying at the stale key would
-                # deviate from the minimum-level policy.
-                continue
-            ind = self._inds[index]
-            if oblivious:
-                if (node_id, index) in self._applied:
-                    continue
-            else:
-                if self._requirement_satisfied(node, index):
-                    self._statistics.index_hits += 1
-                    continue
-            return level, node, index, ind
-        return None
-
-    def _pop_next_ind_application(self) -> Optional[Tuple[ChaseNode, int, InclusionDependency]]:
-        """Step 2 of the policy (IND-only Σ): the next pair to apply.
-
-        If the next needed application would exceed the level budget, so
-        would every later one (the heap is level-ordered), so the chase
-        stops as truncated.
-        """
-        entry = self._peek_next_ind_application()
-        if entry is None:
-            return None
-        level, node, index, ind = entry
-        if (self._config.max_level is not None
-                and node.level + 1 > self._config.max_level):
-            self._truncated = True
-            heapq.heappush(self._pending, (level, node.node_id, index))
-            return None
-        return node, index, ind
-
-    def _next_expansion(self):
-        """Step 2 of the policy: the minimum-priority creation application.
-
-        Without TGDs this is exactly the classical IND selection.  With
-        TGDs, the pending IND application and the minimum active TGD
-        trigger compete on ``(level, node-id tuple, kind, dependency
-        index)`` — INDs before TGDs on full ties — and the loser stays
-        pending.  If the chosen application would exceed the level
-        budget, every other one would too (it is the minimum), so the
-        chase stops as truncated.
-
-        When the winning TGD trigger is followed (in priority order) by
-        *commuting* triggers — see :meth:`_collect_commuting_batch` —
-        those are queued and served by the next calls without a fresh
-        selection scan; applying them in queue order is node-for-node
-        identical to re-selecting each round.
-        """
-        if not self._tgds:
-            application = self._pop_next_ind_application()
-            return None if application is None else ("ind", application)
-        if self._batched_triggers:
-            return ("tgd", self._batched_triggers.popleft())
-        entry = self._peek_next_ind_application()
-        actives = self._trigger_index.active_tgd_triggers(
-            self._config.variant is ChaseVariant.OBLIVIOUS, self._applied_tgds)
-        trigger = actives[0] if actives else None
-        if entry is None and trigger is None:
-            return None
-        ind_priority = (None if entry is None
-                        else (entry[1].level, (entry[1].node_id,), 0, entry[2]))
-        tgd_priority = (None if trigger is None
-                        else (trigger.level, trigger.node_ids, 1, trigger.index))
-        choose_ind = tgd_priority is None or (ind_priority is not None
-                                              and ind_priority < tgd_priority)
-        chosen_level = (ind_priority if choose_ind else tgd_priority)[0]
-        if (self._config.max_level is not None
-                and chosen_level + 1 > self._config.max_level):
-            self._truncated = True
-            if entry is not None:
-                heapq.heappush(self._pending, (entry[0], entry[1].node_id, entry[2]))
-            return None
-        if choose_ind:
-            return ("ind", (entry[1], entry[2], entry[3]))
-        if entry is not None:
-            heapq.heappush(self._pending, (entry[0], entry[1].node_id, entry[2]))
-        self._collect_commuting_batch(trigger, actives, ind_priority)
-        return ("tgd", trigger)
-
-    def _collect_commuting_batch(self, first: TGDTrigger,
-                                 actives: List[TGDTrigger],
-                                 ind_priority) -> None:
-        """Queue the triggers that provably follow ``first`` unchanged.
-
-        A prefix of the remaining actives is batched while every member
-
-        * sits at the chosen trigger's level (so the level-budget check
-          already covers it) and still beats the best pending IND;
-        * touches a body∪head relation footprint disjoint from every
-          earlier member's, so no earlier application can create, satisfy,
-          or re-rank a later member's match — and any match *created* by
-          an earlier member lives at a deeper level, so it cannot outrank
-          one;
-        * creates atoms only in relations no FD or EGD watches, so the
-          equality fixpoint between the batched applications is a no-op
-          (no merge can rewrite a queued trigger out from under us).
-
-        Under those conditions, applying the queue in order is exactly
-        what per-round re-selection would have chosen; the differential
-        harness certifies this against the unbatched legacy engine.
-        """
-        footprints = self._tgd_footprints
-        heads_quiet = self._tgd_heads_quiet
-        if not heads_quiet[first.index]:
-            return
-        claimed = set(footprints[first.index])
-        for candidate in actives[1:]:
-            if candidate.level != first.level:
-                break
-            if (ind_priority is not None
-                    and not ((candidate.level, candidate.node_ids, 1,
-                              candidate.index) < ind_priority)):
-                break
-            relations = footprints[candidate.index]
-            if relations & claimed:
-                break
-            if not heads_quiet[candidate.index]:
-                break
-            self._batched_triggers.append(candidate)
-            claimed |= relations
-        if self._batched_triggers:
-            self._statistics.tgd_batches += 1
-            self._statistics.batched_tgd_triggers += len(self._batched_triggers)
-
-    def _requirement_satisfied(self, node: ChaseNode, index: int) -> bool:
-        """R-chase: is there already a conjunct c' with c'[Y] = c[X]?"""
-        lhs_positions, _ = self._ind_positions[index]
-        source_values = node.conjunct.terms_at(lhs_positions)
-        return bool(self._satisfied.get((index, source_values)))
-
-    def _apply_ind(self, node: ChaseNode, index: int, ind: InclusionDependency) -> None:
-        """The IND chase rule: create the new conjunct with fresh NDVs."""
-        lhs_positions, rhs_positions = self._ind_positions[index]
-        target_schema = self._schema.relation(ind.rhs_relation)
-        source_values = node.conjunct.terms_at(lhs_positions)
-        new_level = node.level + 1
-        self._applied.add((node.node_id, index))
-
-        terms: List[Term] = []
-        fresh_terms: List[Term] = []
-        for position in range(target_schema.arity):
-            if position in rhs_positions:
-                terms.append(source_values[rhs_positions.index(position)])
-            else:
-                provenance = NDVProvenance(
-                    attribute=target_schema.attribute_name_at(position),
-                    source_conjunct=node.label,
-                    dependency=self._dependency_str(ind),
-                    level=new_level,
-                )
-                fresh = self._fresh.fresh(provenance)
-                terms.append(fresh)
-                fresh_terms.append(fresh)
-
-        candidate = Conjunct(ind.rhs_relation, terms)
-        duplicate_id = self._first_atom_node(candidate.relation, candidate.terms)
-        if duplicate_id is not None:
-            # The created conjunct already exists verbatim (only possible
-            # when the IND copies every column of the target).  No new node
-            # is needed; in the O-chase the application is simply marked
-            # done, in the R-chase it would not have been selected.
-            duplicate = self._graph.node(duplicate_id)
-            self._statistics.redundant_ind_applications += 1
-            self._statistics.index_hits += 1
-            if self._config.record_trace:
-                self._record(INDApplication(
-                    dependency=ind, source_conjunct=node.label,
-                    created_conjunct=None, existing_conjunct=duplicate.label,
-                    level=duplicate.level))
-            return
-
-        created = self._graph.new_node(candidate, level=new_level,
-                                       parent=node.node_id, via=ind)
-        self._register_node(created)
-        self._statistics.ind_steps += 1
-        self._statistics.max_level_reached = max(self._statistics.max_level_reached, new_level)
-        if self._config.record_trace:
-            self._record(INDApplication(
-                dependency=ind, source_conjunct=node.label,
-                created_conjunct=created.label, existing_conjunct=None,
-                level=new_level, fresh_variables=tuple(fresh_terms)))
-
-    def _apply_tgd(self, trigger: TGDTrigger) -> None:
-        """The TGD chase rule: create the head conjuncts with fresh NDVs.
-
-        One fresh NDV per existential variable of the head (shared across
-        its occurrences); head atoms already present verbatim create
-        nothing.  The ordinary-arc parent is the first deepest node of
-        the body image, so every arc still raises the level by one.
-        """
-        tgd = trigger.tgd
-        binding = trigger.binding_dict()
-        new_level = trigger.level + 1
-        oblivious = self._config.variant is ChaseVariant.OBLIVIOUS
-        if oblivious:
-            # Only the O-chase consults the applied-key set; the R-chase
-            # retires applied matches through the satisfied cache instead.
-            self._applied_tgds.add(trigger.applied_key)
-        if self._trigger_index is not None:
-            self._trigger_index.note_tgd_applied(trigger, oblivious)
-        nodes = trigger.nodes
-        parent = nodes[0]
-        if len(nodes) > 1:
-            level = trigger.level
-            for node in nodes:
-                if node.level == level:
-                    parent = node
-                    break
-
-        statistics = self._statistics
-        fresh_by_variable: Dict[Variable, Term] = {}
-        fresh_terms: List[Term] = []
-        created_labels: List[str] = []
-        for atom in tgd.head:
-            target_schema = self._schema.relation(atom.relation)
-            terms: List[Term] = []
-            for position, term in enumerate(atom.terms):
-                if not isinstance(term, Variable):
-                    terms.append(term)
-                elif term in binding:
-                    terms.append(binding[term])
-                else:
-                    fresh = fresh_by_variable.get(term)
-                    if fresh is None:
-                        provenance = NDVProvenance(
-                            attribute=target_schema.attribute_name_at(position),
-                            source_conjunct=parent.label,
-                            dependency=self._dependency_str(tgd),
-                            level=new_level,
-                        )
-                        fresh = self._fresh.fresh(provenance)
-                        fresh_by_variable[term] = fresh
-                        fresh_terms.append(fresh)
-                    terms.append(fresh)
-            candidate = Conjunct(atom.relation, terms)
-            if self._first_atom_node(candidate.relation, candidate.terms) is not None:
-                statistics.index_hits += 1
-                continue
-            created = self._graph.new_node(candidate, level=new_level,
-                                           parent=parent.node_id, via=tgd)
-            self._register_node(created)
-            created_labels.append(created.label)
-        if created_labels:
-            statistics.tgd_steps += 1
-            if new_level > statistics.max_level_reached:
-                statistics.max_level_reached = new_level
-        else:
-            statistics.redundant_tgd_applications += 1
-        if self._config.record_trace:
-            self._record(TGDApplication(
-                dependency=tgd,
-                source_conjuncts=tuple(node.label for node in trigger.nodes),
-                created_conjuncts=tuple(created_labels),
-                level=new_level, fresh_variables=tuple(fresh_terms)))
-
-    def _record_cross_arcs(self) -> None:
-        """R-chase post-pass: record cross arcs for satisfied requirements.
-
-        For every conjunct c and IND ``R[X] ⊆ S[Y]`` applicable to c whose
-        required conjunct already exists, add a cross arc from c to (the
-        first) such conjunct, unless c itself has an ordinary arc for that
-        IND.  These are the cross arcs Theorem 2's key-based certificate
-        argument inspects.
-        """
-        if not self._inds:
-            return
-        ordinary = {(arc.source, self._dependency_str(arc.dependency))
-                    for arc in self._graph.ordinary_arcs()}
-        for node in self._graph.nodes():
-            for index in self._inds_by_source.get(node.relation, ()):
-                ind = self._inds[index]
-                key = (node.node_id, self._dependency_str(ind))
-                if key in ordinary:
-                    continue
-                lhs_positions, _ = self._ind_positions[index]
-                source_values = node.conjunct.terms_at(lhs_positions)
-                bucket = self._satisfied.get((index, source_values))
-                target_id = min(bucket) if bucket else None
-                if target_id is not None and target_id != node.node_id:
-                    self._graph.add_cross_arc(node.node_id, target_id, ind)
-
-    # -- bookkeeping -----------------------------------------------------------------------
-
-    def _record(self, step) -> None:
-        if self._config.record_trace:
-            self._trace.record(step)
-
-
 def run_with_instrumentation(engine) -> ChaseResult:
     """Run an engine's ``_run``, reporting to the probe and current trace.
 
@@ -1147,36 +345,10 @@ def run_with_instrumentation(engine) -> ChaseResult:
 
 def build_engine(query: ConjunctiveQuery, dependencies: DependencySet,
                  config: Optional[ChaseConfig] = None):
-    """Instantiate the engine a config selects (indexed by default)."""
+    """Instantiate the engine a config selects (columnar by default)."""
     resolved_config = config or ChaseConfig()
     name = resolve_engine_name(resolved_config.engine)
     return create_engine(name, query, dependencies, resolved_config)
-
-
-# -- built-in engine registration ---------------------------------------------------------------
-
-
-def _indexed_factory(query: ConjunctiveQuery, dependencies: DependencySet,
-                     config: ChaseConfig) -> "ChaseEngine":
-    return ChaseEngine(query, dependencies, config)
-
-
-def _legacy_factory(query: ConjunctiveQuery, dependencies: DependencySet,
-                    config: ChaseConfig):
-    from repro.chase.legacy_engine import LegacyChaseEngine
-    return LegacyChaseEngine(query, dependencies, config)
-
-
-def _columnar_factory(query: ConjunctiveQuery, dependencies: DependencySet,
-                      config: ChaseConfig):
-    from repro.chase.columnar import ColumnarChaseEngine
-    return ColumnarChaseEngine(query, dependencies, config)
-
-
-# replace=True keeps registration idempotent under module reloads.
-register_engine("indexed", _indexed_factory, replace=True)
-register_engine("legacy", _legacy_factory, replace=True)
-register_engine("columnar", _columnar_factory, replace=True)
 
 
 # -- module-level convenience functions ---------------------------------------------------------
@@ -1188,8 +360,8 @@ def chase(query: ConjunctiveQuery, dependencies: DependencySet,
 
     Thin wrapper over the process-wide default
     :class:`~repro.api.solver.Solver`: identical (query, Σ, config)
-    requests are served from its chase cache.  Instantiate
-    :class:`ChaseEngine` directly to force a fresh, uncached run.
+    requests are served from its chase cache.  Run
+    :func:`build_engine` to force a fresh, uncached run.
     """
     from repro.api.solver import get_default_solver
     return get_default_solver().chase(query, dependencies, config)

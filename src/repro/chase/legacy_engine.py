@@ -1,13 +1,12 @@
 """The seed chase implementation, kept as the semantic reference.
 
-This is the engine the repository shipped before the indexed rewrite:
-trigger discovery scans pairs of conjuncts, and the term-keyed indexes
-are rebuilt from scratch after every FD application.  It is retained —
-selectable with ``ChaseConfig(engine="legacy")`` or
-``SolverConfig(chase_engine="legacy")`` — so the differential test
-harness can certify, case by case, that the indexed engine produces the
-identical chase (same nodes, same levels, same arcs, same summary row)
-and the identical containment verdicts.
+This is the engine the repository shipped first: trigger discovery
+scans pairs of conjuncts, and the term-keyed indexes are rebuilt from
+scratch after every FD application.  It is retained — selectable with
+``ChaseConfig(engine="legacy")`` or ``SolverConfig(chase_engine="legacy")``
+— so the differential test harness can certify, case by case, that the
+columnar engine produces the identical chase (same nodes, same levels,
+same arcs, same summary row) and the identical containment verdicts.
 
 Apart from the work-accounting counters (``triggers_examined``,
 ``index_hits``) and the general TGD/EGD support added to both engines at
@@ -204,7 +203,7 @@ class LegacyChaseEngine:
     def _apply_equalities_to_fixpoint(self) -> None:
         """Step 1 of the policy, generalised: FDs to fixpoint, then EGDs.
 
-        The same interleaving as the indexed engine — FDs first, one EGD,
+        The same interleaving as the columnar engine — FDs first, one EGD,
         FDs again — so the two engines merge in the identical order.
         """
         self._apply_fds_to_fixpoint()
@@ -421,7 +420,7 @@ class LegacyChaseEngine:
     def _next_expansion(self):
         """Step 2 of the policy: the minimum-priority creation application.
 
-        Identical selection rule to the indexed engine (see its
+        Identical selection rule to the columnar engine (see its
         ``_next_expansion``): pending INDs and active TGD triggers compete
         on ``(level, node-id tuple, kind, dependency index)``.
         """
@@ -513,7 +512,7 @@ class LegacyChaseEngine:
     def _apply_tgd(self, trigger: TGDTrigger) -> None:
         """The TGD chase rule: create the head conjuncts with fresh NDVs.
 
-        Semantically identical to the indexed engine's ``_apply_tgd``
+        Semantically identical to the columnar engine's ``_apply_tgd``
         (same fresh-NDV sharing, same parent choice, same verbatim-
         duplicate skip); only the duplicate lookup goes through this
         engine's rebuilt atom index.

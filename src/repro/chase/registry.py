@@ -1,32 +1,19 @@
-"""Pluggable chase-engine registry.
+"""The chase-engine table: one name → factory map behind every layer.
 
-Engine selection used to be an ad-hoc string contract: a hard-coded
-``CHASE_ENGINES`` tuple in :mod:`repro.chase.engine`, re-validated
-separately by ``ChaseConfig`` and ``SolverConfig``, and baked into the
-CLI's ``choices`` at import time.  This module replaces all of that with
-one registry:
+Two engines implement the Section 3 chase:
 
-* :func:`register_engine` binds a name to a factory
-  ``(query, dependencies, config) -> engine``;
-* :func:`available_engines` lists the registered names in registration
-  order (the built-ins register as ``indexed``, ``legacy``,
-  ``columnar``);
-* :func:`resolve_engine_name` is the single resolver every config layer
-  goes through — ``None`` falls back to ``$REPRO_CHASE_ENGINE`` and then
-  to the ``indexed`` default, and unknown names raise a
-  :class:`~repro.exceptions.ChaseError` listing the registered names;
-* :func:`create_engine` instantiates by name.
+* ``columnar`` (the default) — the interned-term production core,
+  :class:`~repro.chase.columnar.ColumnarChaseEngine`;
+* ``legacy`` — the seed's scan-and-rebuild implementation,
+  :class:`~repro.chase.legacy_engine.LegacyChaseEngine`, kept as the
+  reference oracle the differential suites certify columnar against.
 
-:class:`ChaseEngineProtocol` spells out the contract a registered engine
-must satisfy — the seam new engines (like the columnar core) plug into.
-``CHASE_ENGINES`` remains importable from :mod:`repro.chase.engine` as a
-deprecated read-only view over this registry, so existing imports keep
-working.
-
-The registry itself imports nothing heavy; the built-in engines are
-registered by :mod:`repro.chase.engine` when it is imported, and the
-functions here trigger that import lazily so ``repro.chase.registry`` is
-usable on its own without creating an import cycle.
+:func:`resolve_engine_name` is the single resolver every config layer
+goes through — ``None`` falls back to ``$REPRO_CHASE_ENGINE`` and then
+to :data:`DEFAULT_CHASE_ENGINE` — and :func:`validate_engine_name` the
+single validator, whose error lists the known names.  The factories
+import their engine module on first use, so this module imports nothing
+heavy and ``repro.chase.engine`` can import it without a cycle.
 """
 
 from __future__ import annotations
@@ -36,10 +23,8 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterator,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -58,24 +43,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 CHASE_ENGINE_ENV_VAR = "REPRO_CHASE_ENGINE"
 
 #: The engine used when neither the config nor the environment picks one.
-DEFAULT_CHASE_ENGINE = "indexed"
-
-EngineFactory = Callable[
-    ["ConjunctiveQuery", "DependencySet", "ChaseConfig"], "ChaseEngineProtocol"]
-
-_REGISTRY: Dict[str, EngineFactory] = {}
+DEFAULT_CHASE_ENGINE = "columnar"
 
 
 @runtime_checkable
 class ChaseEngineProtocol(Protocol):
-    """The contract every registered chase engine satisfies.
+    """The contract every chase engine satisfies.
 
     An engine is constructed per ``(query, dependencies, config)`` by its
-    registered factory and exposes:
+    factory and exposes:
 
     ``engine_name``
-        The registry name it was registered under (stamped into
-        ``ChaseResult.engine``, metrics labels, and trace spans).
+        The name it is listed under (stamped into ``ChaseResult.engine``,
+        metrics labels, and trace spans).
     ``run()``
         Executes the chase once and returns a
         :class:`~repro.chase.engine.ChaseResult`.
@@ -96,40 +76,40 @@ class ChaseEngineProtocol(Protocol):
     def statistics(self) -> "ChaseStatistics": ...
 
 
-def register_engine(name: str, factory: EngineFactory, *,
-                    replace: bool = False) -> None:
-    """Register ``factory`` under ``name``.
+def _columnar(query: "ConjunctiveQuery", dependencies: "DependencySet",
+              config: "ChaseConfig") -> ChaseEngineProtocol:
+    from repro.chase.columnar import ColumnarChaseEngine
+    return ColumnarChaseEngine(query, dependencies, config)
 
-    Re-registering an existing name raises unless ``replace=True`` (the
-    escape hatch for tests and experimental drop-in engines).
-    """
-    if not name or not isinstance(name, str):
-        raise ChaseError(f"engine name must be a non-empty string, got {name!r}")
-    if name in _REGISTRY and not replace:
-        raise ChaseError(
-            f"chase engine {name!r} is already registered; "
-            f"pass replace=True to override")
-    _REGISTRY[name] = factory
+
+def _legacy(query: "ConjunctiveQuery", dependencies: "DependencySet",
+            config: "ChaseConfig") -> ChaseEngineProtocol:
+    from repro.chase.legacy_engine import LegacyChaseEngine
+    return LegacyChaseEngine(query, dependencies, config)
+
+
+_ENGINES: Dict[str, Callable[..., ChaseEngineProtocol]] = {
+    "columnar": _columnar,
+    "legacy": _legacy,
+}
 
 
 def available_engines() -> Tuple[str, ...]:
-    """The registered engine names, in registration order."""
-    _ensure_builtins()
-    return tuple(_REGISTRY)
+    """The engine names, production engine first."""
+    return tuple(_ENGINES)
 
 
 def validate_engine_name(name: str) -> str:
-    """Check ``name`` against the registry; the one shared validator.
+    """Check ``name`` against the table; the one shared validator.
 
     ``ChaseConfig.__post_init__``, ``SolverConfig``, and the resolver all
-    funnel through here, so the error message — which lists the
-    registered names — cannot drift between layers.
+    funnel through here, so the error message — which lists the known
+    names — cannot drift between layers.
     """
-    _ensure_builtins()
-    if name not in _REGISTRY:
+    if name not in _ENGINES:
         raise ChaseError(
             f"unknown chase engine {name!r}; "
-            f"registered engines: {', '.join(repr(n) for n in _REGISTRY)}")
+            f"registered engines: {', '.join(repr(n) for n in _ENGINES)}")
     return name
 
 
@@ -137,69 +117,14 @@ def resolve_engine_name(name: Optional[str] = None) -> str:
     """The concrete engine a config selects.
 
     ``None`` falls back to ``$REPRO_CHASE_ENGINE`` and then to
-    :data:`DEFAULT_CHASE_ENGINE`; unregistered names raise.
+    :data:`DEFAULT_CHASE_ENGINE`; unknown names raise.
     """
     resolved = name or os.environ.get(CHASE_ENGINE_ENV_VAR) or DEFAULT_CHASE_ENGINE
     return validate_engine_name(resolved)
 
 
-def engine_factory(name: str) -> EngineFactory:
-    """The factory registered under ``name`` (validating the name)."""
-    return _REGISTRY[validate_engine_name(name)]
-
-
 def create_engine(name: str, query: "ConjunctiveQuery",
                   dependencies: "DependencySet",
-                  config: "ChaseConfig") -> "ChaseEngineProtocol":
-    """Instantiate the engine registered under ``name``."""
-    return engine_factory(name)(query, dependencies, config)
-
-
-class _RegisteredEnginesView(Sequence):
-    """Deprecated read-only live view of the registered engine names.
-
-    Kept so ``from repro.chase.engine import CHASE_ENGINES`` continues to
-    work; new code should call :func:`available_engines`.  Behaves like
-    the tuple it replaced (iteration, membership, indexing, ``len``) but
-    always reflects the current registry.
-    """
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(available_engines())
-
-    def __getitem__(self, index):  # type: ignore[override]
-        return available_engines()[index]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(available_engines())
-
-    def __contains__(self, name: object) -> bool:
-        return name in available_engines()
-
-    def __repr__(self) -> str:
-        return repr(available_engines())
-
-    def __eq__(self, other: object) -> bool:
-        return available_engines() == other
-
-    def __hash__(self) -> int:
-        return hash(available_engines())
-
-
-#: Deprecated: read-only view kept for backward compatibility; use
-#: :func:`available_engines` instead.
-CHASE_ENGINES: Sequence[str] = _RegisteredEnginesView()
-
-
-def _ensure_builtins() -> None:
-    """Make sure the built-in engines have registered themselves.
-
-    The built-ins live behind :mod:`repro.chase.engine`, which registers
-    them at import time; importing it lazily here keeps this module
-    dependency-free while guaranteeing ``available_engines()`` is never
-    empty for callers that import only the registry.
-    """
-    if "indexed" not in _REGISTRY:
-        import repro.chase.engine  # noqa: F401  (registration side effect)
+                  config: "ChaseConfig") -> ChaseEngineProtocol:
+    """Instantiate the engine listed under ``name``."""
+    return _ENGINES[validate_engine_name(name)](query, dependencies, config)

@@ -101,7 +101,7 @@ def contained_under_bounded_chase(query: ConjunctiveQuery,
         chase prefixes are shared across containment questions; ``None``
         uses the module-level :func:`~repro.chase.engine.chase`.
     engine:
-        Which chase implementation to build with (``"indexed"`` /
+        Which chase implementation to build with (``"columnar"`` /
         ``"legacy"``); ``None`` uses the process default.  The verdict is
         engine-independent — the differential harness asserts exactly
         that — but the knob lets it ask both sides the same question.

@@ -126,12 +126,6 @@ class MetricsProbe(Probe):
         self._trigger_cache_hits = registry.counter(
             "repro_chase_trigger_cache_hits_total",
             "Trigger re-derivations avoided by the semi-naive caches.")
-        self._tgd_batches = registry.counter(
-            "repro_chase_tgd_batches_total",
-            "Selection rounds that queued extra commuting TGD triggers.")
-        self._batched_triggers = registry.counter(
-            "repro_chase_batched_tgd_triggers_total",
-            "TGD triggers applied straight off a commuting batch queue.")
         self._interned_terms = registry.counter(
             "repro_chase_interned_terms_total",
             "Terms interned into dense ids by the columnar engine.")
@@ -177,8 +171,6 @@ class MetricsProbe(Probe):
         self._index_hits_series = self._index_hits.labels()
         self._delta_matches_series = self._delta_matches.labels()
         self._trigger_cache_hits_series = self._trigger_cache_hits.labels()
-        self._tgd_batches_series = self._tgd_batches.labels()
-        self._batched_triggers_series = self._batched_triggers.labels()
         self._interned_terms_series = self._interned_terms.labels()
         self._union_find_unions_series = self._union_find_unions.labels()
         self._union_find_finds_series = self._union_find_finds.labels()
@@ -232,10 +224,6 @@ class MetricsProbe(Probe):
             self._delta_matches_series.inc(statistics.delta_seeded_matches)
         if statistics.trigger_cache_hits:
             self._trigger_cache_hits_series.inc(statistics.trigger_cache_hits)
-        if statistics.tgd_batches:
-            self._tgd_batches_series.inc(statistics.tgd_batches)
-        if statistics.batched_tgd_triggers:
-            self._batched_triggers_series.inc(statistics.batched_tgd_triggers)
         if statistics.interned_terms:
             self._interned_terms_series.inc(statistics.interned_terms)
         if statistics.union_find_unions:

@@ -43,7 +43,7 @@ def _chase_documents():
          ChaseVariant.RESTRICTED, 3),
     )
     for name, query, sigma, variant, level in cases:
-        config = ChaseConfig(variant=variant, max_level=level, engine="indexed")
+        config = ChaseConfig(variant=variant, max_level=level, engine="columnar")
         result = build_engine(query, sigma, config).run()
         yield name, chase_result_to_dict(result, include_trace=True)
 
@@ -59,7 +59,7 @@ def _containment_documents():
          intro_kb.dependencies),
     )
     for name, query, query_prime, sigma in cases:
-        solver = Solver(SolverConfig(chase_engine="indexed", with_certificate=True))
+        solver = Solver(SolverConfig(chase_engine="columnar", with_certificate=True))
         result = solver.is_contained(query, query_prime, sigma)
         assert result.holds and result.certificate is not None, name
         assert result.certificate.verify(), name

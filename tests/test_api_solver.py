@@ -26,7 +26,7 @@ from repro.api import (
     query_fingerprint,
 )
 from repro.api.config import LEGACY_CONTAINMENT_KWARGS
-from repro.chase.engine import ChaseConfig, ChaseEngine, ChaseVariant, chase, o_chase, r_chase
+from repro.chase.engine import ChaseConfig, ChaseVariant, build_engine, chase, o_chase, r_chase
 from repro.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from repro.containment.decision import contains, is_contained
 from repro.containment.equivalence import minimize_under
@@ -302,7 +302,7 @@ class TestLegacyWrappers:
         second = chase(figure1.query, figure1.dependencies, config)
         assert second is first
         # Direct engine construction always runs fresh.
-        fresh = ChaseEngine(figure1.query, figure1.dependencies, config).run()
+        fresh = build_engine(figure1.query, figure1.dependencies, config).run()
         assert fresh is not first
         assert len(fresh) == len(first)
 

@@ -224,25 +224,27 @@ class TestEngineSelection:
             ChaseConfig(engine="vectorised")
 
     def test_build_engine_honours_config(self, intro):
-        from repro.chase.engine import ChaseEngine, build_engine
+        from repro.chase.columnar import ColumnarChaseEngine
+        from repro.chase.engine import build_engine
         from repro.chase.legacy_engine import LegacyChaseEngine
-        indexed = build_engine(intro.q2, intro.dependencies,
-                               ChaseConfig(engine="indexed"))
+        columnar = build_engine(intro.q2, intro.dependencies,
+                                ChaseConfig(engine="columnar"))
         legacy = build_engine(intro.q2, intro.dependencies,
                               ChaseConfig(engine="legacy"))
-        assert isinstance(indexed, ChaseEngine)
+        assert isinstance(columnar, ColumnarChaseEngine)
         assert isinstance(legacy, LegacyChaseEngine)
-        assert indexed.run().engine == "indexed"
+        assert columnar.run().engine == "columnar"
         assert legacy.run().engine == "legacy"
 
     def test_environment_variable_sets_default(self, intro, monkeypatch):
-        from repro.chase.engine import CHASE_ENGINE_ENV_VAR, build_engine, resolve_engine_name
+        from repro.chase.engine import build_engine
+        from repro.chase.registry import CHASE_ENGINE_ENV_VAR, resolve_engine_name
         monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "legacy")
         assert resolve_engine_name(None) == "legacy"
         result = build_engine(intro.q2, intro.dependencies, ChaseConfig()).run()
         assert result.engine == "legacy"
         # An explicit config still overrides the environment.
-        assert resolve_engine_name("indexed") == "indexed"
+        assert resolve_engine_name("columnar") == "columnar"
         monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "nonsense")
         with pytest.raises(ChaseError):
             resolve_engine_name(None)

@@ -319,7 +319,7 @@ class TestFailedChaseReporting:
     def test_failed_chase_result_carries_the_dependency(self):
         from repro.chase.engine import ChaseConfig, build_engine
         _, sigma, query, _ = self.failing_after_level_zero()
-        for engine in ("indexed", "legacy"):
+        for engine in ("columnar", "legacy"):
             chase_result = build_engine(query, sigma,
                                         ChaseConfig(engine=engine)).run()
             assert chase_result.failed

@@ -1,13 +1,12 @@
-"""Differential certification of the registered chase engines.
+"""Differential certification of the columnar engine against the legacy oracle.
 
-The indexed engine (`ChaseEngine`) replaces the seed's pairwise FD scans
-and full index rebuilds with incrementally maintained indexes, and the
-columnar engine moves the whole hot core onto interned integer ids —
-but every engine must follow the identical deterministic policy: minimum
+The columnar engine replaces the seed's pairwise FD scans and full index
+rebuilds with incrementally maintained indexes over interned integer
+ids — but it must follow the identical deterministic policy: minimum
 level, lexicographically first conjunct/pair, lexicographically first
 dependency.  These tests certify that claim *differentially*: hundreds of
 seeded random (schema, Σ, query) cases from the workload generators are
-chased by all three engines and the results compared node for node — ids,
+chased by both engines and the results compared node for node — ids,
 levels, terms, parents, liveness, arcs, summary row, status flags, rule
 counts, and the full application trace.  That is strictly stronger than
 isomorphism: the engines must agree on every step, not merely on the
@@ -34,7 +33,7 @@ from repro.workloads import DependencyGenerator, QueryGenerator, SchemaGenerator
 
 #: Every engine in the comparison matrix; the first is the reference the
 #: others are asserted against.
-ENGINES = ("indexed", "legacy", "columnar")
+ENGINES = ("legacy", "columnar")
 
 #: Seeds per family; the families below multiply this into 230 differential
 #: cases, comfortably past the 200 the acceptance criteria ask for.
@@ -196,7 +195,7 @@ class TestDifferentialContainment:
         for engine in ENGINES[1:]:
             assert verdicts[engine] == verdicts[ENGINES[0]]
         if known_positive:
-            assert verdicts["indexed"][0], "weakened(Q) must contain Q"
+            assert verdicts["columnar"][0], "weakened(Q) must contain Q"
 
 
 def test_case_count_meets_acceptance_floor():

@@ -1,17 +1,15 @@
-"""The chase-engine registry: one name → factory table behind every layer.
+"""The chase-engine table: one name → factory map behind every layer.
 
-Certifies the registry satellite of the columnar-core PR:
+Certifies:
 
-* registration, listing, and the replace-guard;
+* the two engines listed, production engine first;
 * the one shared validator (``ChaseConfig`` and ``SolverConfig`` both
   funnel through it, so unknown names produce the *same* error, listing
-  the registered names);
+  the known names);
 * ``None`` resolution through ``$REPRO_CHASE_ENGINE`` down to the
-  ``indexed`` default;
-* the deprecated ``CHASE_ENGINES`` view staying live and tuple-like;
-* every registered built-in engine conforming to
-  :class:`ChaseEngineProtocol` — including the graph/statistics surface
-  being usable *before and after* ``run()``.
+  ``columnar`` default;
+* both engines conforming to :class:`ChaseEngineProtocol` — including
+  the graph/statistics surface being usable *before and after* ``run()``.
 """
 
 from __future__ import annotations
@@ -19,27 +17,20 @@ from __future__ import annotations
 import pytest
 
 from repro.api import SolverConfig
-from repro.chase.engine import (
-    CHASE_ENGINES,
-    ChaseConfig,
-    ChaseResult,
-    build_engine,
-)
+from repro.chase.engine import ChaseConfig, build_engine
 from repro.chase.chase_graph import ChaseGraph
 from repro.chase.registry import (
     CHASE_ENGINE_ENV_VAR,
     ChaseEngineProtocol,
     available_engines,
     create_engine,
-    engine_factory,
-    register_engine,
     resolve_engine_name,
     validate_engine_name,
 )
 from repro.exceptions import ChaseError, ReproError
 from repro.parser import parse_dependencies, parse_query, parse_schema
 
-BUILTINS = ("indexed", "legacy", "columnar")
+BUILTINS = ("columnar", "legacy")
 
 
 @pytest.fixture
@@ -52,54 +43,15 @@ def workload():
 
 class TestRegistryBasics:
     def test_builtins_registered_in_order(self):
-        names = available_engines()
-        for builtin in BUILTINS:
-            assert builtin in names
-        # Registration order: the engine module registers indexed first.
-        assert names.index("indexed") < names.index("legacy")
-
-    def test_register_requires_replace_for_existing_name(self, workload):
-        with pytest.raises(ChaseError, match="already registered"):
-            register_engine("indexed", lambda q, d, c: None)
-
-    def test_register_rejects_bad_names(self):
-        with pytest.raises(ChaseError):
-            register_engine("", lambda q, d, c: None)
-        with pytest.raises(ChaseError):
-            register_engine(None, lambda q, d, c: None)
-
-    def test_register_and_create_custom_engine(self, workload):
-        query, sigma = workload
-        calls = []
-
-        def factory(q, d, c):
-            calls.append((q, d, c))
-            return build_engine(q, d, ChaseConfig(engine="indexed"))
-
-        register_engine("test-custom", factory, replace=True)
-        try:
-            assert "test-custom" in available_engines()
-            config = ChaseConfig(engine="test-custom")
-            result = create_engine("test-custom", query, sigma, config).run()
-            assert isinstance(result, ChaseResult)
-            assert calls and calls[0][2] is config
-            # The whole stack accepts the name through the shared validator.
-            assert validate_engine_name("test-custom") == "test-custom"
-            SolverConfig(chase_engine="test-custom")
-        finally:
-            from repro.chase import registry as registry_module
-            del registry_module._REGISTRY["test-custom"]
-
-    def test_engine_factory_validates(self):
-        with pytest.raises(ChaseError):
-            engine_factory("no-such-engine")
+        # The production engine first, then the reference oracle.
+        assert available_engines() == BUILTINS
 
 
 class TestOneSharedValidator:
     """Unknown engine names fail identically at every layer."""
 
     def test_error_lists_registered_names(self):
-        with pytest.raises(ChaseError, match="'indexed'.*'legacy'.*'columnar'"):
+        with pytest.raises(ChaseError, match="'columnar'.*'legacy'"):
             validate_engine_name("bogus")
 
     def test_chase_config_funnels_through_validator(self):
@@ -131,9 +83,9 @@ class TestResolution:
         monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "columnar")
         assert resolve_engine_name(None) == "columnar"
 
-    def test_none_without_environment_is_indexed(self, monkeypatch):
+    def test_none_without_environment_is_columnar(self, monkeypatch):
         monkeypatch.delenv(CHASE_ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine_name(None) == "indexed"
+        assert resolve_engine_name(None) == "columnar"
 
     def test_environment_name_is_validated(self, monkeypatch):
         monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "bogus")
@@ -145,24 +97,6 @@ class TestResolution:
         monkeypatch.setenv(CHASE_ENGINE_ENV_VAR, "columnar")
         result = build_engine(query, sigma, ChaseConfig()).run()
         assert result.engine == "columnar"
-
-
-class TestDeprecatedView:
-    def test_view_is_live_and_tuple_like(self):
-        assert tuple(CHASE_ENGINES) == available_engines()
-        assert "columnar" in CHASE_ENGINES
-        assert CHASE_ENGINES[0] == available_engines()[0]
-        assert len(CHASE_ENGINES) == len(available_engines())
-        assert CHASE_ENGINES == available_engines()
-
-    def test_view_reflects_registrations(self):
-        register_engine("test-live-view", lambda q, d, c: None, replace=True)
-        try:
-            assert "test-live-view" in CHASE_ENGINES
-        finally:
-            from repro.chase import registry as registry_module
-            del registry_module._REGISTRY["test-live-view"]
-        assert "test-live-view" not in CHASE_ENGINES
 
 
 class TestProtocolConformance:

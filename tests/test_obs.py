@@ -349,13 +349,13 @@ class TestProbeLifecycle:
 
 class TestMetricsProbe:
     def test_chase_metrics_from_a_real_run(self, fresh_probe):
-        from repro.chase.engine import ChaseEngine
+        from repro.chase.engine import ChaseConfig, build_engine
 
         _, sigma, query, _ = parsed_inputs()
-        ChaseEngine(query, sigma).run()
+        build_engine(query, sigma, ChaseConfig(engine="columnar")).run()
         registry = fresh_probe.registry
         assert registry.get("repro_chase_runs_total").value(
-            engine="indexed", outcome="saturated") == 1.0
+            engine="columnar", outcome="saturated") == 1.0
         assert registry.get("repro_chase_triggers_examined_total").value() > 0
 
     def test_request_metrics_from_the_solver(self, fresh_probe):
