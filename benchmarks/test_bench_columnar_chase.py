@@ -14,7 +14,10 @@ result boundary.
   the columnar engine must finish at least ``COLUMNAR_SPEEDUP_FLOOR``
   times faster than the legacy engine, min-over-rounds against
   min-over-rounds (mins, not means, so scheduler noise on a loaded CI
-  runner cannot manufacture or mask a regression);
+  runner cannot manufacture or mask a regression).  The rounds are an
+  interleaved A/B, as E20's are: each round runs both engines, and the
+  engine that goes first alternates, so a slow spell on a shared runner
+  lands on both sides rather than on whichever engine ran during it;
 * **certification**: both engines build the identical chase node for
   node — same ids, levels, relations, and materialised terms;
 * **no generality price**: E18's embedded-dependency workload (general
@@ -93,6 +96,32 @@ def run_embedded_chase(query, sigma, engine: str):
     return build_engine(query, sigma, config).run()
 
 
+def interleaved_rounds(benchmark, columnar, legacy, rounds=5):
+    """Time ``rounds`` A/B rounds of two engine runs under ``benchmark``.
+
+    Even rounds run ``columnar`` first and odd rounds ``legacy`` first.
+    Each run starts after a collection, with the previous round's chases
+    released, so neither engine is timed collecting the other's garbage.
+    Returns each side's per-round times and last result, keyed by
+    engine name; the benchmark records the time of a whole round.
+    """
+    times = {"columnar": [], "legacy": []}
+    results = {}
+    sides = [("columnar", columnar), ("legacy", legacy)]
+
+    def one_round():
+        ordered = sides if len(times["columnar"]) % 2 == 0 else sides[::-1]
+        results.clear()
+        for name, run in ordered:
+            gc.collect()
+            started = time.perf_counter()
+            results[name] = run()
+            times[name].append(time.perf_counter() - started)
+
+    benchmark.pedantic(one_round, rounds=rounds, iterations=1)
+    return times, results
+
+
 def node_signature(result):
     return [(node.node_id, node.level, node.relation, node.conjunct.terms)
             for node in result.graph.nodes(include_dead=True)]
@@ -112,28 +141,18 @@ def test_e21_columnar_speedup_and_certification(benchmark, deep_ind_workload):
     """Acceptance: >= COLUMNAR_SPEEDUP_FLOOR on the deep chase, and the
     two engines' chases agree node for node."""
     _, sigma, query = deep_ind_workload
-
-    columnar_times = []
-
-    def columnar_run():
-        started = time.perf_counter()
-        result = run_deep_chase(query, sigma, "columnar")
-        columnar_times.append(time.perf_counter() - started)
-        return result
-
-    columnar_result = benchmark.pedantic(columnar_run, rounds=5, iterations=1)
-    legacy_times = []
-    for _ in range(5):
-        started = time.perf_counter()
-        legacy_result = run_deep_chase(query, sigma, "legacy")
-        legacy_times.append(time.perf_counter() - started)
+    times, results = interleaved_rounds(
+        benchmark,
+        lambda: run_deep_chase(query, sigma, "columnar"),
+        lambda: run_deep_chase(query, sigma, "legacy"))
+    columnar_result, legacy_result = results["columnar"], results["legacy"]
 
     # Node-for-node certification (ids, levels, relations, terms).
     assert node_signature(columnar_result) == node_signature(legacy_result)
     assert columnar_result.summary_row == legacy_result.summary_row
 
     statistics = columnar_result.statistics
-    speedup = min(legacy_times) / max(min(columnar_times), 1e-9)
+    speedup = min(times["legacy"]) / max(min(times["columnar"]), 1e-9)
     benchmark.extra_info["experiment"] = "E21-columnar-vs-legacy"
     benchmark.extra_info["legacy_over_columnar_wall_clock"] = round(speedup, 2)
     benchmark.extra_info["chase_size"] = len(columnar_result)
@@ -151,21 +170,11 @@ def test_e21_columnar_speedup_and_certification(benchmark, deep_ind_workload):
 def test_e21_embedded_price_under_columnar(benchmark, embedded_workload):
     """The general-TGD path must not regress under the columnar engine."""
     _, inds, tgds, query = embedded_workload
-
-    columnar_times = []
-
-    def columnar_run():
-        started = time.perf_counter()
-        result = run_embedded_chase(query, tgds, "columnar")
-        columnar_times.append(time.perf_counter() - started)
-        return result
-
-    columnar_result = benchmark.pedantic(columnar_run, rounds=5, iterations=1)
-    legacy_times = []
-    for _ in range(5):
-        started = time.perf_counter()
-        legacy_result = run_embedded_chase(query, tgds, "legacy")
-        legacy_times.append(time.perf_counter() - started)
+    times, results = interleaved_rounds(
+        benchmark,
+        lambda: run_embedded_chase(query, tgds, "columnar"),
+        lambda: run_embedded_chase(query, tgds, "legacy"))
+    columnar_result, legacy_result = results["columnar"], results["legacy"]
 
     assert columnar_result.saturated and legacy_result.saturated
     assert node_signature(columnar_result) == node_signature(legacy_result)
@@ -174,7 +183,7 @@ def test_e21_embedded_price_under_columnar(benchmark, embedded_workload):
     ind_result = run_embedded_chase(query, inds, "columnar")
     assert ind_result.saturated
 
-    price = min(columnar_times) / max(min(legacy_times), 1e-9)
+    price = min(times["columnar"]) / max(min(times["legacy"]), 1e-9)
     benchmark.extra_info["experiment"] = "E18-under-columnar"
     benchmark.extra_info["columnar_over_legacy_wall_clock"] = round(price, 2)
     benchmark.extra_info["chase_size"] = len(columnar_result)

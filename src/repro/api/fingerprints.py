@@ -9,12 +9,21 @@ and unequal queries must not collide in practice.
 
 Terms are rendered with a kind tag so a constant ``"x"``, a distinguished
 variable ``x``, and a nondistinguished variable ``x`` stay distinct.
+
+Schema, query and catalog digests are memoised on the fingerprinted
+object, because a service fingerprints the same few tenant objects on
+every request.  Each memo is guarded by the identity of the memoised
+:meth:`~repro.relational.schema.DatabaseSchema.signature` tuples it was
+derived from (a catalog's guard also lists its views): adding a relation
+to a schema replaces its signature, so a digest taken before the change
+is recomputed, never served stale.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+import operator
+from typing import Optional, Tuple
 
 from repro.dependencies.dependency_set import DependencySet
 from repro.queries.conjunct import Conjunct
@@ -38,13 +47,28 @@ def conjunct_signature(conjunct: Conjunct) -> str:
     return f"{conjunct.label}|{conjunct.relation}({terms})"
 
 
+def _stamp(schema: Optional[DatabaseSchema]) -> Optional[Tuple]:
+    """A schema's memoised signature: its version stamp for the guards."""
+    return schema.signature() if schema is not None else None
+
+
+def _schema_texts(schema: DatabaseSchema) -> Tuple[str, str]:
+    """(signature text, digest) of a schema, memoised on the schema."""
+    signature = schema.signature()
+    memo = schema._fingerprint_memo
+    if memo is not None and memo[0] is signature:
+        return memo[1]
+    text = ";".join(f"{name}({','.join(attributes)})"
+                    for name, attributes in signature)
+    texts = (text, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    schema._fingerprint_memo = (signature, texts)
+    return texts
+
+
 def schema_signature(schema: Optional[DatabaseSchema]) -> str:
     if schema is None:
         return "-"
-    return ";".join(
-        f"{name}({','.join(attributes)})"
-        for name, attributes in schema.signature()
-    )
+    return _schema_texts(schema)[0]
 
 
 def schema_fingerprint(schema: Optional[DatabaseSchema]) -> str:
@@ -55,7 +79,9 @@ def schema_fingerprint(schema: Optional[DatabaseSchema]) -> str:
     same (schema, Σ) land on the same shard, whose caches stay hot for
     exactly that tenant's chases and answers.
     """
-    return hashlib.sha256(schema_signature(schema).encode("utf-8")).hexdigest()
+    if schema is None:
+        return hashlib.sha256(b"-").hexdigest()
+    return _schema_texts(schema)[1]
 
 
 def query_fingerprint(query: ConjunctiveQuery) -> str:
@@ -65,12 +91,19 @@ def query_fingerprint(query: ConjunctiveQuery) -> str:
     computes); everything equality looks at is included, with conjuncts
     sorted so insertion order cannot split the cache.
     """
+    schema = query.input_schema
+    stamp = _stamp(schema)
+    memo = query._fingerprint_memo
+    if memo is not None and memo[0] is stamp:
+        return memo[1]
     payload = "\n".join((
-        schema_signature(query.input_schema),
+        schema_signature(schema),
         ",".join(term_signature(term) for term in query.summary_row),
         "\n".join(sorted(conjunct_signature(c) for c in query.conjuncts)),
     ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    query._fingerprint_memo = (stamp, digest)
+    return digest
 
 
 def dependency_fingerprint(dependencies: Optional[DependencySet]) -> str:
@@ -97,8 +130,18 @@ def catalog_fingerprint(catalog) -> str:
     fingerprints; two catalogs holding the same views over the same base
     schema fingerprint identically.
     """
+    base_schema = catalog.base_schema
+    guard = [_stamp(base_schema)]
+    for view in catalog:
+        guard += (view, _stamp(view.base_schema))
+    memo = catalog._fingerprint_memo
+    if (memo is not None and len(memo[0]) == len(guard)
+            and all(map(operator.is_, memo[0], guard))):
+        return memo[1]
     payload = "\n".join((
-        schema_signature(catalog.base_schema),
+        schema_signature(base_schema),
         "\n".join(sorted(view_fingerprint(view) for view in catalog)),
     ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    catalog._fingerprint_memo = (guard, digest)
+    return digest

@@ -59,7 +59,6 @@ from repro.fleet.capacity import (
 from repro.obs import ensure_default_probe
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer, maybe_span, new_trace_id
-from repro.parser.query_parser import parse_query
 from repro.service.protocol import (
     ADMIN_OPERATIONS,
     CATALOG_OPERATIONS,
@@ -245,14 +244,15 @@ class FleetCoordinator:
         self.policy = policy
         self.defaults = defaults
         self._heartbeat_timeout = heartbeat_timeout
-        self._parser = TenantParser()
+        # Sized for the query memo, which admission pricing reads once
+        # per data-plane record (one entry per distinct query text).
+        self._parser = TenantParser(max_entries=4096)
         self.ledger = TenantLedger(default_quota)
         self.ring: List[NodeHandle] = []
         self._by_name: Dict[str, NodeHandle] = {}
         # Per-tenant certification is priced once and reused: the memo
         # key is the routing identity, which already pins Σ exactly.
         self._estimates: Dict[TenantKey, ChaseSizeEstimate] = {}
-        self._atom_counts: Dict[Tuple[str, str], int] = {}
         # The fleet's registered catalogs.  The coordinator is the
         # source of truth: catalog.put/drop are admin-gated here, applied
         # locally, then broadcast to every alive node (and replayed to
@@ -549,25 +549,16 @@ class FleetCoordinator:
                 record.get("deps", self.defaults.deps_text), schema_text)
             self._estimates[tenant] = estimate_chase_size(sigma, schema)
         estimate = self._estimates[tenant]
-        atoms = self._count_atoms(record.get("query", ""), schema_text)
+        texts = [record.get("query", "")]
         if record["op"] == "contain":
-            atoms += self._count_atoms(record.get("query_prime", ""), schema_text)
+            texts.append(record.get("query_prime", ""))
+        atoms = sum(len(self._parser.query(text, schema_text).conjuncts)
+                    for text in texts)
         return self.policy.decide(
             certified=estimate.bounded, estimate=estimate,
             query_atoms=max(1, atoms),
             requested_max_conjuncts=record.get("max_conjuncts"),
             requested_max_level=record.get("max_level"))
-
-    def _count_atoms(self, query_text: str, schema_text: str) -> int:
-        key = (query_text, schema_text)
-        if key not in self._atom_counts:
-            schema = self._parser.schema(schema_text)
-            query = parse_query(query_text, schema)
-            self._atom_counts[key] = len(query.conjuncts)
-            if len(self._atom_counts) > 4096:
-                for old in list(self._atom_counts)[:2048]:
-                    del self._atom_counts[old]
-        return self._atom_counts[key]
 
     async def _forward(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Route one data-plane record, under a root span.

@@ -41,6 +41,11 @@ class ConjunctiveQuery:
         Optional display name used in reports.
     """
 
+    #: :func:`repro.api.fingerprints.query_fingerprint`'s memo.  A
+    #: class-level default, so a query pickled before the memo existed
+    #: unpickles into a working object.
+    _fingerprint_memo = None
+
     def __init__(self, input_schema: DatabaseSchema,
                  conjuncts: Sequence[Conjunct],
                  summary_row: Sequence[Term],

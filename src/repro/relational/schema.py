@@ -123,6 +123,14 @@ class DatabaseSchema:
     construction and report output deterministic.
     """
 
+    #: The memoised :meth:`signature`.  A class-level default rather than
+    #: an instance field, so a schema pickled before the memo existed
+    #: unpickles into a working object.
+    _signature: Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]] = None
+    #: :func:`repro.api.fingerprints.schema_fingerprint`'s memo, with the
+    #: same class-level default.
+    _fingerprint_memo = None
+
     def __init__(self, relations: Optional[Iterable[RelationSchema]] = None):
         self._relations: Dict[str, RelationSchema] = {}
         for schema in relations or ():
@@ -135,6 +143,7 @@ class DatabaseSchema:
         if schema.name in self._relations:
             raise SchemaError(f"duplicate relation name {schema.name!r} in database schema")
         self._relations[schema.name] = schema
+        self._signature = None
         return self
 
     def add_relation(self, name: str, attributes: Sequence[AttributeSpec]) -> RelationSchema:
@@ -189,9 +198,15 @@ class DatabaseSchema:
         names (in order) share a signature; content-addressed caches
         (dependency classification, the solver's fingerprints) key on it
         so mutating a schema in place cannot serve stale entries.
+
+        The tuple is memoised and :meth:`add` drops the memo, so a caller
+        may treat the *identity* of the returned tuple as a version stamp:
+        the same object back means the schema has not changed since.
         """
-        return tuple(
-            (relation.name, relation.attribute_names) for relation in self)
+        if self._signature is None:
+            self._signature = tuple(
+                (relation.name, relation.attribute_names) for relation in self)
+        return self._signature
 
     def restricted_to(self, names: Iterable[str]) -> "DatabaseSchema":
         """A new schema containing only the listed relations."""

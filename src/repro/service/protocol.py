@@ -169,13 +169,23 @@ class ServiceLimits:
 
 
 class TenantParser:
-    """Memoised parsing of schema/deps/views texts.
+    """Memoised parsing of the texts a request carries.
 
     Tenants repeat: the same schema text arrives on every request of a
-    tenant, so the router and each shard keep a small text→object memo
-    instead of re-tokenizing per request.  Bounded by dropping the
-    oldest half when full (tenant counts are small; precise LRU order
-    is not worth the bookkeeping here).
+    tenant, and a warm tenant re-asks the same questions, so the router
+    and each shard keep text→object memos instead of re-tokenizing per
+    request — schema texts by text, Σ, view-catalog and query texts by
+    (text, schema text).  A memoised object is shared by every request
+    that sends the same text; that is safe because parsed queries are
+    immutable and the fingerprint memos on schemas and queries are
+    guarded against in-place mutation.  A text that fails to parse
+    raises and is not memoised, so every such request gets its own
+    ``parse`` error.
+
+    Each memo holds at most ``max_entries`` objects: when one grows past
+    that, its oldest half is dropped (tenant counts are small; precise
+    LRU order is not worth the bookkeeping here).  ``query_parses``
+    counts the query texts actually parsed, i.e. the query-memo misses.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -183,36 +193,52 @@ class TenantParser:
         self._schemas: Dict[str, Any] = {}
         self._dependencies: Dict[Tuple[str, str], Any] = {}
         self._catalogs: Dict[Tuple[str, str], Any] = {}
+        self._queries: Dict[Tuple[str, str], Any] = {}
+        self.query_parses = 0
 
     def _bound(self, memo: Dict) -> None:
         if len(memo) > self._max_entries:
+            # pop, not del: two threads sharing a parser may both bound
+            # the same memo, and the second must not fail on a gone key.
             for key in list(memo)[: self._max_entries // 2]:
-                del memo[key]
+                memo.pop(key, None)
 
     def schema(self, text: str):
-        if text not in self._schemas:
-            self._schemas[text] = parse_schema(text)
+        schema = self._schemas.get(text)
+        if schema is None:
+            schema = self._schemas[text] = parse_schema(text)
             self._bound(self._schemas)
-        return self._schemas[text]
+        return schema
 
     def dependencies(self, text: Optional[str], schema_text: str) -> DependencySet:
         key = (text or "", schema_text)
-        if key not in self._dependencies:
+        sigma = self._dependencies.get(key)
+        if sigma is None:
             schema = self.schema(schema_text)
             if text is None or not text.strip():
-                parsed = DependencySet(schema=schema)
+                sigma = DependencySet(schema=schema)
             else:
-                parsed = parse_dependencies(text, schema)
-            self._dependencies[key] = parsed
+                sigma = parse_dependencies(text, schema)
+            self._dependencies[key] = sigma
             self._bound(self._dependencies)
-        return self._dependencies[key]
+        return sigma
 
     def catalog(self, text: str, schema_text: str):
         key = (text, schema_text)
-        if key not in self._catalogs:
-            self._catalogs[key] = parse_views(text, self.schema(schema_text))
+        catalog = self._catalogs.get(key)
+        if catalog is None:
+            catalog = self._catalogs[key] = parse_views(text, self.schema(schema_text))
             self._bound(self._catalogs)
-        return self._catalogs[key]
+        return catalog
+
+    def query(self, text: str, schema_text: str):
+        key = (text, schema_text)
+        query = self._queries.get(key)
+        if query is None:
+            self.query_parses += 1
+            query = self._queries[key] = parse_query(text, self.schema(schema_text))
+            self._bound(self._queries)
+        return query
 
 
 class CatalogStore:
@@ -698,13 +724,17 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             0.0, None, shard)
 
     with maybe_span("parse") as span:
+        parses = parser.query_parses
         schema_text = _schema_text(record, defaults)
         schema = parser.schema(schema_text)
         sigma = parser.dependencies(record.get("deps", defaults.deps_text),
                                     schema_text)
-        query = parse_query(record["query"], schema)
+        query = parser.query(record["query"], schema_text)
+        if op == "contain":
+            query_prime = parser.query(record["query_prime"], schema_text)
         if span is not None:
-            span.tags.update(relations=len(schema), dependencies=len(sigma))
+            span.tags.update(relations=len(schema), dependencies=len(sigma),
+                             query_memo_hit=parser.query_parses == parses)
     max_conjuncts = min(record.get("max_conjuncts") or limits.max_conjuncts,
                         limits.max_conjuncts)
 
@@ -716,7 +746,6 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
                         limits.max_level)
         config = solver.config.derive(max_conjuncts=max_conjuncts,
                                       saturation_level_cap=max_level)
-        query_prime = parse_query(record["query_prime"], schema)
         response = solver.solve(ContainmentRequest(
             query, query_prime, sigma, config=config, tag=record.get("id")))
         result = containment_result_to_dict(response.result)

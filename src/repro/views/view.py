@@ -114,6 +114,10 @@ class View:
 class ViewCatalog:
     """An ordered, name-keyed collection of views over one base schema."""
 
+    #: :func:`repro.api.fingerprints.catalog_fingerprint`'s memo (a
+    #: class-level default, so older pickles unpickle cleanly).
+    _fingerprint_memo = None
+
     def __init__(self, views: Optional[Iterable[View]] = None,
                  schema: Optional[DatabaseSchema] = None):
         self._schema = schema

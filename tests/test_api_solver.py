@@ -22,8 +22,10 @@ from repro.api import (
     OptimizeRequest,
     Solver,
     SolverConfig,
+    catalog_fingerprint,
     dependency_fingerprint,
     query_fingerprint,
+    schema_fingerprint,
 )
 from repro.api.config import LEGACY_CONTAINMENT_KWARGS
 from repro.chase.engine import ChaseConfig, ChaseVariant, build_engine, chase, o_chase, r_chase
@@ -35,6 +37,7 @@ from repro.dependencies.functional import FunctionalDependency
 from repro.dependencies.inclusion import InclusionDependency
 from repro.exceptions import ReproError
 from repro.optimizer.pipeline import optimize
+from repro.parser import parse_query, parse_schema, parse_views
 from repro.workloads.paper_examples import (
     intro_example,
     intro_example_key_based,
@@ -398,6 +401,50 @@ class TestDependencySetSatellite:
         assert query_fingerprint(intro.q1) != query_fingerprint(intro.q2)
         assert query_fingerprint(intro.q1) == query_fingerprint(intro.q1.renamed("other"))
         assert dependency_fingerprint(None) == dependency_fingerprint(DependencySet())
+
+
+class TestFingerprintMemo:
+    """Schema, query and catalog digests are memoised on the object and
+    recomputed, never served stale, after the schema is mutated."""
+
+    QUERY = "Q(e) :- EMP(e, s, d), DEP(d, l)"
+    VIEWS = "DEPT_EMP(e, d, l) :- EMP(e, s, d), DEP(d, l)"
+
+    def build(self, schema_text):
+        schema = parse_schema(schema_text)
+        return (schema, parse_query(self.QUERY, schema),
+                parse_views(self.VIEWS, schema))
+
+    def fingerprints(self, schema, query, catalog):
+        return (schema_fingerprint(schema), query_fingerprint(query),
+                catalog_fingerprint(catalog))
+
+    def test_mutated_schema_matches_freshly_built_objects(self):
+        schema, query, catalog = self.build(SCHEMA_TEXT)
+        before = self.fingerprints(schema, query, catalog)
+        assert self.fingerprints(schema, query, catalog) == before
+
+        schema.add_relation("LOC", ["loc", "city"])
+        after = self.fingerprints(schema, query, catalog)
+        fresh = self.fingerprints(*self.build(SCHEMA_TEXT + "LOC(loc, city)\n"))
+        assert after == fresh
+        assert all(old != new for old, new in zip(before, after))
+
+    def test_signature_is_memoised_until_add(self, emp_dep_schema):
+        signature = emp_dep_schema.signature()
+        assert emp_dep_schema.signature() is signature
+        emp_dep_schema.add_relation("LOC", ["loc"])
+        assert emp_dep_schema.signature() is not signature
+        assert emp_dep_schema.signature()[-1] == ("LOC", ("loc",))
+
+    def test_catalog_memo_sees_added_views(self):
+        schema, _, catalog = self.build(SCHEMA_TEXT)
+        before = catalog_fingerprint(catalog)
+        extra = parse_views("EMP_ONLY(e) :- EMP(e, s, d)", schema)
+        catalog.add(extra.get("EMP_ONLY"))
+        both = parse_views(self.VIEWS + "\nEMP_ONLY(e) :- EMP(e, s, d)", schema)
+        assert catalog_fingerprint(catalog) != before
+        assert catalog_fingerprint(catalog) == catalog_fingerprint(both)
 
 
 class TestBatchCLI:

@@ -10,7 +10,10 @@ on.
 from __future__ import annotations
 
 import json
+import pickle
 import socket
+import sys
+import threading
 
 import pytest
 
@@ -20,9 +23,11 @@ from repro.api import (
     Solver,
     SolverConfig,
 )
+from repro.api.fingerprints import query_fingerprint
 from repro.api.persistent import PersistentCacheError, stable_key_digest
 from repro.chase.engine import ChaseVariant
 from repro.parser import parse_dependencies, parse_query, parse_schema
+from repro.obs.tracing import new_trace_id
 from repro.service import (
     ProtocolError,
     ServiceClient,
@@ -33,7 +38,9 @@ from repro.service import (
     SolverService,
     TenantParser,
     handle_record,
+    make_worker_solver,
     parse_line,
+    protocol,
     routing_fingerprints,
     shard_for,
     validate_record,
@@ -119,6 +126,28 @@ class TestPersistentCache:
             cache.put("rewrite", ("k",), "v")
             cache.clear()
             assert len(cache) == 0
+
+    def test_value_pickled_without_memo_fields_reads_correctly(self, tmp_path):
+        # Stores written before the fingerprint memos existed hold schemas
+        # and queries without the memo attributes; they must still load
+        # into objects whose signature and fingerprint work.
+        schema = parse_schema(SCHEMA_TEXT)
+        query = parse_query(QUERY_PRIME, schema)
+        expected = query_fingerprint(query)
+        vars(schema).pop("_signature", None)
+        vars(schema).pop("_fingerprint_memo", None)
+        vars(query).pop("_fingerprint_memo", None)
+        payload = pickle.dumps(query, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"_fingerprint_memo" not in payload
+        assert b"_signature" not in payload
+        path = str(tmp_path / "c.sqlite")
+        with PersistentCache(path) as cache:
+            cache.put("containment", ("k",), query)
+        with PersistentCache(path) as reopened:
+            loaded = reopened.get("containment", ("k",))
+        assert loaded == query
+        assert loaded.input_schema.signature() == schema.signature()
+        assert query_fingerprint(loaded) == expected
 
 
 class TestSolverPersistence:
@@ -323,6 +352,128 @@ class TestRouting:
         with ShardedSolverPool(shard_count=3, mode="inline") as pool:
             assert pool.execute({"op": "ping"})["shard"] == 0
             assert pool.execute({"op": "stats"})["shard"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The front-end query memo
+# ---------------------------------------------------------------------------
+
+
+def _result_without_timings(envelope):
+    """An envelope's result minus the wall-clock fields that differ run to run."""
+    result = dict(envelope.get("result") or {})
+    result.pop("stage_timings", None)
+    return envelope["ok"], result
+
+
+class TestQueryMemo:
+    def test_repeat_query_returns_the_identical_object(self):
+        parser = TenantParser()
+        first = parser.query(QUERY, SCHEMA_TEXT)
+        assert parser.query(QUERY, SCHEMA_TEXT) is first
+        assert parser.query(QUERY, SCHEMA_TEXT + "\n") is not first
+        assert parser.query_parses == 2
+
+    def test_parse_failures_are_not_memoised(self):
+        parser = TenantParser()
+        solver = Solver()
+        record = contain_record(query="Q(e) :- NOPE(e")
+        for _ in range(2):
+            envelope = handle_record(record, solver, parser=parser)
+            assert not envelope["ok"]
+            assert envelope["error"]["kind"] == "parse"
+        assert parser.query_parses == 2
+
+    def test_query_memo_stays_within_its_bound(self):
+        parser = TenantParser(max_entries=8)
+        for index in range(50):
+            parser.query(f"Q{index}(e) :- EMP(e, s, d)", SCHEMA_TEXT)
+            assert len(parser._queries) <= 8
+        # An evicted text is parsed again, not lost.
+        parsed = parser.query_parses
+        parser.query("Q0(e) :- EMP(e, s, d)", SCHEMA_TEXT)
+        assert parser.query_parses == parsed + 1
+
+    def test_shared_parser_survives_concurrent_use(self):
+        # Threads sharing one parser race on the query memo and its
+        # bounding; every call must still return the right query, and
+        # its memoised fingerprint must match a fresh parse.
+        parser = TenantParser(max_entries=4)
+        texts = [f"Q{index}(e) :- EMP(e, s, d), DEP(d, l)" for index in range(12)]
+        expected = query_fingerprint(parse_query(texts[0],
+                                                 parse_schema(SCHEMA_TEXT)))
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(200):
+                    for text in texts:
+                        query = parser.query(text, SCHEMA_TEXT)
+                        assert query.name == text.split("(", 1)[0]
+                        assert query_fingerprint(query) == expected
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_parse_span_tags_query_memo_hits(self):
+        parser = TenantParser()
+        solver = make_worker_solver()
+        tags = []
+        for _ in range(2):
+            record = contain_record(trace_context={"id": new_trace_id(),
+                                                   "collect": True})
+            envelope = handle_record(record, solver, parser=parser)
+            assert envelope["ok"]
+            tags += [span["tags"]["query_memo_hit"]
+                     for span in envelope["spans"] if span["name"] == "parse"]
+        assert tags == [False, True]
+
+    def test_warm_replay_parses_no_query_text(self, monkeypatch):
+        """The tier-1 twin of the benchmark's ``parser.query_parses_per_op``."""
+        records = TrafficGenerator(tenant_count=8, seed=0).requests(2000)
+        distinct = {(record[field], record["schema"]) for record in records
+                    for field in ("query", "query_prime") if field in record}
+        real_parse_query = protocol.parse_query
+        calls = []
+
+        def counting_parse_query(text, schema):
+            calls.append(text)
+            return real_parse_query(text, schema)
+
+        monkeypatch.setattr(protocol, "parse_query", counting_parse_query)
+        with ShardedSolverPool(shard_count=2, mode="inline") as pool:
+            first = pool.execute_all(records)
+            first_calls = len(calls)
+            second = pool.execute_all(records)
+        # An inline pool's shards share the front end's parser, so each
+        # distinct (text, schema) is parsed exactly once — inside the
+        # one-per-shard allowance — and the replay parses nothing.
+        assert first_calls == len(distinct)
+        assert len(calls) == first_calls
+
+        monkeypatch.setattr(
+            TenantParser, "query",
+            lambda self, text, schema_text: real_parse_query(
+                text, self.schema(schema_text)))
+        with ShardedSolverPool(shard_count=2, mode="inline") as pool:
+            bypassed = pool.execute_all(records)
+        assert all(envelope["ok"] for envelope in first)
+        for memoised, again, unmemoised in zip(first, second, bypassed):
+            expected = _result_without_timings(unmemoised)
+            assert _result_without_timings(memoised) == expected
+            assert _result_without_timings(again) == expected
 
 
 # ---------------------------------------------------------------------------
