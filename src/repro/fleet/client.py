@@ -1,19 +1,22 @@
 """A :class:`~repro.service.client.ServiceClient` that speaks the admin tier.
 
-Data-plane calls (:meth:`contain`, :meth:`chase`, …) are inherited
-unchanged — a coordinator answers them like any node.  The additions
-carry the admin token for ``fleet.*`` operations.  Of those only
-``fleet.status`` is idempotent (and so retried on a dropped
-connection); the mutations surface transport errors to the caller,
-naming the op, because "was my drain applied?" is a question only the
-operator can settle.
+Every record whose op the operation table
+(:data:`~repro.service.protocol.OPS`) marks admin-tier — ``fleet.*``,
+``obs.*``, ``catalog.put`` and ``catalog.drop`` — is stamped with the
+admin token, so the inherited calls (:meth:`catalog_put`,
+:meth:`obs_metrics`, …) work against a coordinator unchanged.  Of the
+``fleet.*`` ops only ``fleet.status`` is idempotent (and so retried on a
+dropped connection); the mutations surface transport errors to the
+caller, naming the op, because "was my drain applied?" is a question
+only the operator can settle.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, _drop_none
+from repro.service.protocol import op_spec
 
 
 class FleetClient(ServiceClient):
@@ -26,11 +29,19 @@ class FleetClient(ServiceClient):
                          timeout=timeout)
         self._admin_token = admin_token
 
+    def request(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one record, stamping the admin token on admin-tier ops.
+
+        A token the record already carries is kept.
+        """
+        spec = op_spec(record)
+        if (spec is not None and spec.tier == "admin"
+                and self._admin_token is not None):
+            record = {"admin_token": self._admin_token, **record}
+        return super().request(record)
+
     def _admin(self, op: str, **fields: Any) -> Dict[str, Any]:
-        record = {"op": op, "admin_token": self._admin_token,
-                  **{key: value for key, value in fields.items()
-                     if value is not None}}
-        return self.check(self.request(record))
+        return self.check(self.request({"op": op, **_drop_none(fields)}))
 
     def status(self) -> Dict[str, Any]:
         """The coordinator's full fleet snapshot (``fleet.status``)."""
@@ -61,41 +72,7 @@ class FleetClient(ServiceClient):
                     schema_fp: Optional[str] = None,
                     deps_fp: Optional[str] = None) -> Dict[str, Any]:
         """Drop a tenant's explicit quota, reverting it to the default."""
-        record = {"op": "fleet.quota", "admin_token": self._admin_token,
-                  "quota": None,
-                  **{key: value for key, value in
-                     {"schema": schema, "deps": deps, "schema_fp": schema_fp,
-                      "deps_fp": deps_fp}.items() if value is not None}}
+        record = {"op": "fleet.quota", "quota": None,
+                  **_drop_none({"schema": schema, "deps": deps,
+                                "schema_fp": schema_fp, "deps_fp": deps_fp})}
         return self.check(self.request(record))
-
-    # -- catalog registration (mutations admin-gated at a coordinator) -------
-
-    def catalog_put(self, views: str, **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().catalog_put(views, **kwargs)
-
-    def catalog_drop(self, catalog_fp: str, **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().catalog_drop(catalog_fp, **kwargs)
-
-    # ``catalog_list`` is inherited unchanged: listing is user-tier
-    # everywhere, like ``ping``/``stats``.
-
-    # -- observability (admin-gated at a coordinator) ------------------------
-
-    def obs_metrics(self, **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().obs_metrics(**kwargs)
-
-    def obs_trace(self, trace_id: Optional[str] = None,
-                  **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().obs_trace(trace_id, **kwargs)
-
-    def obs_health(self, **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().obs_health(**kwargs)
-
-    def obs_profile(self, action: str = "status", **kwargs: Any) -> Dict[str, Any]:
-        kwargs.setdefault("admin_token", self._admin_token)
-        return super().obs_profile(action, **kwargs)

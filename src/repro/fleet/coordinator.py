@@ -32,15 +32,17 @@ the tenant's rerouted node.  Workers are pure (every data-plane op is
 idempotent), so the retry is safe, and a response acknowledged to a
 client was by construction computed exactly somewhere.
 
-**Tiers**: data-plane ops (``contain``/``chase``/``rewrite``/``stats``/
-``ping``) are the user tier; ``fleet.*`` ops are the admin tier and
-require the coordinator's admin token (kuberdock-style split — see
-:data:`~repro.service.protocol.ADMIN_OPERATIONS`).
+**Tiers**: each op's tier is its entry in the operation table
+(:data:`~repro.service.protocol.OPS`).  Admin-tier ops — ``fleet.*``,
+``obs.*`` and the ``catalog.put``/``catalog.drop`` mutations — need the
+coordinator's admin token (a kuberdock-style split); the rest are user
+tier.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import hmac
 import json
 from collections import deque
@@ -57,26 +59,26 @@ from repro.fleet.capacity import (
     TenantQuota,
 )
 from repro.obs import ensure_default_probe
+from repro.obs.clock import Stopwatch
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer, maybe_span, new_trace_id
 from repro.service.protocol import (
-    ADMIN_OPERATIONS,
-    CATALOG_OPERATIONS,
-    OBS_OPERATIONS,
+    OPS,
     PROTOCOL_VERSION,
     STREAM_LIMIT,
     CatalogStore,
     ProtocolError,
     ServiceDefaults,
     TenantParser,
+    answer_front,
     error_envelope,
-    handle_catalog_record,
-    handle_obs_record,
+    parse_line,
+    resolve_catalog_record,
     routing_fingerprints,
     shard_for,
-    validate_record,
+    success_envelope,
 )
-from repro.service.server import ServiceThread, _peek_id
+from repro.service.server import ServiceThread, serve_connection
 
 
 class NodeConnection:
@@ -246,7 +248,7 @@ class FleetCoordinator:
         self._heartbeat_timeout = heartbeat_timeout
         # Sized for the query memo, which admission pricing reads once
         # per data-plane record (one entry per distinct query text).
-        self._parser = TenantParser(max_entries=4096)
+        self.parser = TenantParser(max_entries=4096)
         self.ledger = TenantLedger(default_quota)
         self.ring: List[NodeHandle] = []
         self._by_name: Dict[str, NodeHandle] = {}
@@ -272,6 +274,19 @@ class FleetCoordinator:
         }
         self._server: Optional[asyncio.AbstractServer] = None
         self._sweeper_task: Optional[asyncio.Task] = None
+        # The ops the coordinator answers itself; data-plane ops are
+        # forwarded and catalog/obs ops answered from the table's front
+        # handlers.
+        self._handlers = {
+            "ping": self._pong,
+            "stats": self._fleet_stats,
+            "fleet.register": self._admin_register,
+            "fleet.heartbeat": self._admin_heartbeat,
+            "fleet.drain": self._admin_drain,
+            "fleet.evacuate": self._admin_evacuate,
+            "fleet.quota": self._admin_quota,
+            "fleet.status": self._admin_status,
+        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -283,8 +298,8 @@ class FleetCoordinator:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self._host, port=self._port,
-            limit=STREAM_LIMIT)
+            functools.partial(serve_connection, self._answer),
+            host=self._host, port=self._port, limit=STREAM_LIMIT)
         self._sweeper_task = asyncio.create_task(self._sweep_heartbeats())
 
     async def stop(self) -> None:
@@ -331,94 +346,43 @@ class FleetCoordinator:
         handle.status = "dead"
         handle.drop_connection()
 
-    # -- the connection handler (same line discipline as SolverService) ------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    text = line.decode("utf-8")
-                except UnicodeDecodeError as error:
-                    # Reject the bytes, but peek the id through a
-                    # replace-decode so the client can correlate the
-                    # rejection (mirrors SolverService._handle_connection).
-                    envelope = error_envelope(
-                        _peek_id(line.decode("utf-8", errors="replace")),
-                        "protocol",
-                        f"request line is not valid UTF-8: {error}")
-                else:
-                    envelope = await self._answer(text)
-                writer.write(json.dumps(envelope, sort_keys=True,
-                                        default=str).encode("utf-8") + b"\n")
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
+    # -- answering one request ------------------------------------------------
 
     async def _answer(self, line: str) -> Dict[str, Any]:
-        stripped = line.strip()
-        if not stripped:
-            return error_envelope(None, "protocol", "empty request line")
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as error:
-            return error_envelope(_peek_id(line), "protocol",
-                                  f"request is not valid JSON: {error}")
-        if not isinstance(record, dict):
-            return error_envelope(
-                None, "protocol",
-                f"request must be a JSON object, got {type(record).__name__}")
-        op = record.get("op", "contain")
-        try:
-            if op in ADMIN_OPERATIONS:
-                return await self._admin(record)
-            if op in CATALOG_OPERATIONS:
-                return await self._catalog(record)
-            if op in OBS_OPERATIONS:
-                # The coordinator's port is the tenant-facing one, so
-                # its obs tier is admin-gated like fleet.* (a worker's
-                # is not — its listener is inside the trust boundary).
-                return self._obs(record)
-            record = validate_record(record)
-            if op == "ping":
-                return self._pong(record)
-            if op == "stats":
-                return await self._fleet_stats(record)
-            return await self._forward(record)
-        except ProtocolError as error:
-            return error_envelope(record.get("id"), error.kind, str(error))
-        except ReproError as error:
-            return error_envelope(record.get("id"), "parse", str(error))
-        except Exception as error:  # defensive: bugs become envelopes
-            return error_envelope(record.get("id"), "internal",
-                                  f"{type(error).__name__}: {error}")
-
-    # -- observability tier (admin-gated at the coordinator) -----------------
-
-    def _obs(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        if not self._authorized(record):
+        record = parse_line(line, coordinator=True)
+        op = record["op"]
+        spec = OPS[op]
+        if spec.tier == "admin" and not self._authorized(record):
             self.counters["forbidden"] += 1
-            return error_envelope(
-                record.get("id"), "forbidden",
-                f"op {record['op']!r} is admin-tier at a coordinator and "
-                "requires the admin token")
-        if record["op"] == "obs.metrics":
+            raise ProtocolError(
+                "forbidden",
+                f"op {op!r} is admin-tier at a coordinator and requires "
+                "its admin token")
+        if spec.answered_by == "shard":
+            return await self._forward(record)
+        watch = Stopwatch()
+        handler = self._handlers.get(op)
+        if handler is not None:
+            result = await handler(record)
+        else:
             self._sync_fleet_gauges()
-        return handle_obs_record(record)
+            result = answer_front(record, self)
+        envelope = success_envelope(record, result, watch.elapsed_s)
+        if spec.answered_by == "broadcast":
+            # Nodes never see the admin token; their catalog tier is
+            # inside the trust boundary, like their obs tier.
+            envelope["nodes"] = await self._broadcast_catalog(
+                {key: value for key, value in record.items()
+                 if key != "admin_token"})
+        return envelope
 
     def _sync_fleet_gauges(self) -> None:
         """Mirror the routing counters and ring health into the registry.
 
         The counters dict stays the source of truth (``stats`` and
         ``fleet.status`` read it directly); gauges are refreshed lazily,
-        only when a scrape actually happens.
+        before each op answered from the coordinator's own state, so a
+        metrics scrape always sees them current.
         """
         registry = get_registry()
         counters = registry.gauge(
@@ -436,36 +400,6 @@ class FleetCoordinator:
             nodes.set(float(count), status=status)
 
     # -- catalog tier --------------------------------------------------------
-
-    async def _catalog(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        """Catalog registration at the fleet tier.
-
-        The mutations (``catalog.put``/``catalog.drop``) are admin-gated
-        like ``fleet.*`` — a tenant-facing port must not let one tenant
-        evict another's registered catalog — applied to the
-        coordinator's own store, then broadcast to every alive node so
-        each can resolve rewrite-by-fingerprint locally.
-        ``catalog.list`` is user-tier (tenants discover what they may
-        reference) and answered straight from the coordinator's store.
-        """
-        record = validate_record(record)
-        op = record["op"]
-        if op != "catalog.list" and not self._authorized(record):
-            self.counters["forbidden"] += 1
-            return error_envelope(
-                record.get("id"), "forbidden",
-                f"op {op!r} is admin-tier at a coordinator and requires "
-                "the admin token")
-        envelope = handle_catalog_record(record, self.catalogs,
-                                         self.defaults, self._parser)
-        if op == "catalog.list" or not envelope.get("ok"):
-            return envelope
-        # Nodes never see the admin token; their catalog tier is inside
-        # the trust boundary, like their obs tier.
-        outgoing = {key: value for key, value in record.items()
-                    if key != "admin_token"}
-        envelope["nodes"] = await self._broadcast_catalog(outgoing)
-        return envelope
 
     async def _broadcast_catalog(self,
                                  record: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -508,13 +442,10 @@ class FleetCoordinator:
 
     # -- user tier -----------------------------------------------------------
 
-    def _pong(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "id": record.get("id"), "ok": True, "op": "ping",
-            "result": {"pong": True, "protocol_version": PROTOCOL_VERSION,
-                       "role": "coordinator",
-                       "fleet_size": sum(1 for h in self.ring if h.alive)},
-        }
+    async def _pong(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        return {"pong": True, "protocol_version": PROTOCOL_VERSION,
+                "role": "coordinator",
+                "fleet_size": sum(1 for h in self.ring if h.alive)}
 
     async def _fleet_stats(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Fleet-wide stats: the coordinator's counters plus every node's own."""
@@ -524,7 +455,7 @@ class FleetCoordinator:
                 nodes.append({"name": handle.name, "status": handle.status})
                 continue
             try:
-                envelope = await self._request_on(handle, {"op": "stats"})
+                envelope = await self._request_on(handle, {"op": record["op"]})
                 nodes.append({"name": handle.name, "status": handle.status,
                               "capacity": handle.capacity.snapshot(),
                               "stats": envelope.get("result")})
@@ -532,28 +463,23 @@ class FleetCoordinator:
                 self._mark_dead(handle)
                 nodes.append({"name": handle.name, "status": "dead",
                               "error": str(error)})
-        return {
-            "id": record.get("id"), "ok": True, "op": "stats",
-            "result": {"coordinator": dict(self.counters),
-                       "ledger": self.ledger.snapshot(),
-                       "nodes": nodes},
-        }
+        return {"coordinator": dict(self.counters),
+                "ledger": self.ledger.snapshot(),
+                "nodes": nodes}
 
     def _decide(self, record: Dict[str, Any],
                 tenant: TenantKey) -> AdmissionDecision:
         """Price one data-plane record (certification memoised per tenant)."""
         schema_text = record.get("schema") or self.defaults.schema_text
         if tenant not in self._estimates:
-            schema = self._parser.schema(schema_text)
-            sigma = self._parser.dependencies(
+            schema = self.parser.schema(schema_text)
+            sigma = self.parser.dependencies(
                 record.get("deps", self.defaults.deps_text), schema_text)
             self._estimates[tenant] = estimate_chase_size(sigma, schema)
         estimate = self._estimates[tenant]
-        texts = [record.get("query", "")]
-        if record["op"] == "contain":
-            texts.append(record.get("query_prime", ""))
-        atoms = sum(len(self._parser.query(text, schema_text).conjuncts)
-                    for text in texts)
+        atoms = sum(len(self.parser.query(record[key], schema_text).conjuncts)
+                    for key in ("query", "query_prime")
+                    if key in OPS[record["op"]].required)
         return self.policy.decide(
             certified=estimate.bounded, estimate=estimate,
             query_atoms=max(1, atoms),
@@ -572,17 +498,15 @@ class FleetCoordinator:
         coordinator's routing phases *and* the node's engine phases.
         """
         tracer = get_tracer()
-        if not tracer.enabled:
+        if not (tracer.enabled and OPS[record["op"]].traced):
             return await self._forward_inner(record, None)
         context = record.get("trace_context")
-        adopted = (isinstance(context, dict)
-                   and isinstance(context.get("id"), str))
-        parent = context.get("parent") if adopted else None
+        adopted = context is not None
         with tracer.start_trace(
                 "fleet.forward",
                 trace_id=context["id"] if adopted else new_trace_id(),
-                parent_id=parent if isinstance(parent, str) else None,
-                op=record.get("op", "contain")) as root:
+                parent_id=context.get("parent") if adopted else None,
+                op=record["op"]) as root:
             envelope = await self._forward_inner(record, root)
             root.tags["ok"] = bool(envelope.get("ok"))
         envelope.setdefault("trace_id", root.trace_id)
@@ -592,37 +516,18 @@ class FleetCoordinator:
                 envelope["spans"] = spans
         return envelope
 
-    def _resolve_catalog_schema(self,
-                                record: Dict[str, Any]) -> Dict[str, Any]:
-        """Give a rewrite-by-fingerprint record a schema for routing.
-
-        The views text itself is *not* substituted — the whole point of
-        registration is that the coordinator forwards the slim record
-        and the node resolves the fingerprint from its own store — but
-        routing and admission need the tenant's schema text, which the
-        registered entry carries.  An unknown fingerprint fails here,
-        fast, instead of on some node.
-        """
-        if (record.get("op") != "rewrite" or record.get("views") is not None
-                or not isinstance(record.get("catalog_fp"), str)):
-            return record
-        entry = self.catalogs.get(record["catalog_fp"])
-        if entry is None:
-            raise ProtocolError(
-                "protocol",
-                f"unknown catalog fingerprint {record['catalog_fp']!r}; "
-                "register the catalog with catalog.put first")
-        if record.get("schema") is None:
-            record = dict(record, schema=entry["schema_text"])
-        return record
-
     async def _forward_inner(self, record: Dict[str, Any],
                              root) -> Dict[str, Any]:
-        record = self._resolve_catalog_schema(record)
+        resolved = resolve_catalog_record(record, self.catalogs)
+        if resolved is not record:
+            # Route and price by the registered schema, but forward the
+            # slim record: the node resolves the fingerprint from its own
+            # store, so the views text never travels per request.
+            record = dict(record, schema=resolved["schema"])
         identifier = record.get("id")
         with maybe_span("fleet.admission") as span:
             schema_fp, deps_fp = routing_fingerprints(record, self.defaults,
-                                                      self._parser)
+                                                      self.parser)
             tenant = (schema_fp, deps_fp)
             decision = self._decide(record, tenant)
             if span is not None:
@@ -714,62 +619,29 @@ class FleetCoordinator:
         return isinstance(token, str) and hmac.compare_digest(
             token, self._admin_token)
 
-    async def _admin(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        if not self._authorized(record):
-            self.counters["forbidden"] += 1
-            return error_envelope(
-                record.get("id"), "forbidden",
-                f"op {record['op']!r} is admin-tier and requires the "
-                "coordinator's admin token")
-        handler = {
-            "fleet.register": self._admin_register,
-            "fleet.heartbeat": self._admin_heartbeat,
-            "fleet.drain": self._admin_drain,
-            "fleet.evacuate": self._admin_evacuate,
-            "fleet.quota": self._admin_quota,
-            "fleet.status": self._admin_status,
-        }[record["op"]]
-        result = handler(record)
-        if record["op"] == "fleet.register" and len(self.catalogs):
-            # A (re-)registered node starts with an empty catalog store;
-            # replay the fleet's registrations before it can be handed
-            # rewrite-by-fingerprint traffic.
-            result["catalogs_replayed"] = await self._replay_catalogs(
-                self._by_name[result["registered"]])
-        return {"id": record.get("id"), "ok": True, "op": record["op"],
-                "result": result}
-
     def _now(self) -> float:
         return asyncio.get_running_loop().time()
 
     def _named_handle(self, record: Dict[str, Any]) -> NodeHandle:
-        name = record.get("node")
-        if not isinstance(name, str) or name not in self._by_name:
-            raise ProtocolError("protocol", f"unknown node {name!r}")
-        return self._by_name[name]
+        handle = self._by_name.get(record["node"])
+        if handle is None:
+            raise ProtocolError("protocol", f"unknown node {record['node']!r}")
+        return handle
 
-    def _admin_register(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        info = record.get("node")
-        if not isinstance(info, dict):
-            raise ProtocolError("protocol",
-                                "fleet.register requires a 'node' object")
-        name = info.get("name")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError("protocol", "a node needs a non-empty name")
+    async def _admin_register(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        info = record["node"]
+        name, host, port = info["name"], info["host"], info["port"]
         version = info.get("protocol_version")
         if version != PROTOCOL_VERSION:
             raise ProtocolError(
                 "protocol",
                 f"node {name!r} speaks protocol version {version!r}; this "
                 f"coordinator requires {PROTOCOL_VERSION}")
-        host, port = info.get("host"), info.get("port")
-        if not isinstance(host, str) or not isinstance(port, int):
-            raise ProtocolError("protocol",
-                                f"node {name!r} needs string host and int port")
         declared = info.get("capacity") or {}
         capacity = NodeCapacity(
-            total=declared.get("total", 1),
-            over_commit_ratio=declared.get("over_commit_ratio", 1.0))
+            total=declared.get("total") or 1,
+            over_commit_ratio=declared.get("over_commit_ratio") or 1.0)
+        shard_count = info.get("shard_count") or 1
         now = self._now()
         existing = self._by_name.get(name)
         if existing is not None:
@@ -779,39 +651,44 @@ class FleetCoordinator:
             existing.drop_connection()
             existing.host, existing.port = host, port
             existing.capacity = capacity
-            existing.shard_count = int(info.get("shard_count", 1))
+            existing.shard_count = shard_count
             existing.status = "alive"
             existing.last_heartbeat = now
             slot = self.ring.index(existing)
         else:
-            handle = NodeHandle(name, host, port, capacity,
-                                int(info.get("shard_count", 1)),
+            handle = NodeHandle(name, host, port, capacity, shard_count,
                                 version, now)
             self.ring.append(handle)
             self._by_name[name] = handle
             slot = len(self.ring) - 1
-        return {"registered": name, "slot": slot,
-                "fleet_size": sum(1 for h in self.ring if h.alive)}
+        result = {"registered": name, "slot": slot,
+                  "fleet_size": sum(1 for h in self.ring if h.alive)}
+        if len(self.catalogs):
+            # A (re-)registered node starts with an empty catalog store;
+            # replay the fleet's registrations before it can be handed
+            # rewrite-by-fingerprint traffic.
+            result["catalogs_replayed"] = await self._replay_catalogs(
+                self._by_name[name])
+        return result
 
-    def _admin_heartbeat(self, record: Dict[str, Any]) -> Dict[str, Any]:
+    async def _admin_heartbeat(self, record: Dict[str, Any]) -> Dict[str, Any]:
         handle = self._named_handle(record)
         handle.last_heartbeat = self._now()
-        pending = record.get("pending")
-        if isinstance(pending, int):
-            handle.pending = pending
+        if record.get("pending") is not None:
+            handle.pending = record["pending"]
         if handle.status == "dead":
             # The heartbeat proves it is back; dead was the sweeper's
             # inference, not an operator decision (draining sticks).
             handle.status = "alive"
         return {"acknowledged": True, "status": handle.status}
 
-    def _admin_drain(self, record: Dict[str, Any]) -> Dict[str, Any]:
+    async def _admin_drain(self, record: Dict[str, Any]) -> Dict[str, Any]:
         handle = self._named_handle(record)
         handle.status = "draining"
         return {"node": handle.name, "status": handle.status,
                 "slot_kept": True}
 
-    def _admin_evacuate(self, record: Dict[str, Any]) -> Dict[str, Any]:
+    async def _admin_evacuate(self, record: Dict[str, Any]) -> Dict[str, Any]:
         handle = self._named_handle(record)
         handle.drop_connection()
         self.ring.remove(handle)
@@ -819,34 +696,30 @@ class FleetCoordinator:
         return {"node": handle.name, "evacuated": True,
                 "fleet_size": sum(1 for h in self.ring if h.alive)}
 
-    def _admin_quota(self, record: Dict[str, Any]) -> Dict[str, Any]:
+    async def _admin_quota(self, record: Dict[str, Any]) -> Dict[str, Any]:
         tenant = self._quota_tenant(record)
         raw = record.get("quota")
-        if raw is None:
+        if raw is None:  # null clears
             self.ledger.set_quota(tenant, None)
             applied = self.ledger.default_quota
-        elif isinstance(raw, dict):
-            quota = TenantQuota(
+        else:
+            applied = TenantQuota(
                 max_request_cost=raw.get("max_request_cost"),
                 max_in_flight_cost=raw.get("max_in_flight_cost"))
-            self.ledger.set_quota(tenant, quota)
-            applied = quota
-        else:
-            raise ProtocolError(
-                "protocol", "'quota' must be an object or null (null clears)")
+            self.ledger.set_quota(tenant, applied)
         return {"tenant": list(tenant), "quota": applied.as_dict()}
 
     def _quota_tenant(self, record: Dict[str, Any]) -> TenantKey:
         explicit = record.get("schema_fp"), record.get("deps_fp")
-        if all(isinstance(part, str) for part in explicit):
+        if None not in explicit:
             return explicit  # type: ignore[return-value]
         if record.get("schema") or self.defaults.schema_text:
-            return routing_fingerprints(record, self.defaults, self._parser)
+            return routing_fingerprints(record, self.defaults, self.parser)
         raise ProtocolError(
             "protocol",
             "fleet.quota needs either schema_fp/deps_fp or schema/deps texts")
 
-    def _admin_status(self, record: Dict[str, Any]) -> Dict[str, Any]:
+    async def _admin_status(self, record: Dict[str, Any]) -> Dict[str, Any]:
         now = self._now()
         return {
             "role": "coordinator",

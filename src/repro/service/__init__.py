@@ -7,9 +7,9 @@ The long-lived serving layer over :class:`~repro.api.solver.Solver`:
   ``hash(schema_fingerprint, dependency_fingerprint) % N`` so a
   tenant's caches stay hot on its shard;
 * :class:`SolverService` — an asyncio front end speaking
-  newline-delimited JSON (the ``repro batch`` question format plus
-  chase/rewrite/stats/ping ops) over TCP or a Unix socket, with
-  bounded queues and admission control;
+  newline-delimited JSON (the ``repro batch`` question format plus the
+  other ops of the operation table :data:`OPS`) over TCP or a Unix
+  socket, with bounded queues and admission control;
 * :class:`ServiceClient` — a blocking client for scripts and tests;
 * the protocol helpers (:func:`parse_line`, :func:`handle_record`,
   :func:`shard_for`) shared by all of the above.
@@ -20,30 +20,28 @@ SQLite store.  ``repro serve`` is the CLI wrapper.
 """
 
 from repro.service.client import (
-    IDEMPOTENT_OPS,
     ServiceClient,
     ServiceClientError,
     ServiceTransportError,
 )
 from repro.service.pool import POOL_MODES, ShardedSolverPool
 from repro.service.protocol import (
-    ADMIN_OPERATIONS,
-    CATALOG_OPERATIONS,
     ERROR_KINDS,
-    OPERATIONS,
+    OPS,
     PROTOCOL_VERSION,
-    USER_OPERATIONS,
     CatalogStore,
+    OpSpec,
     ProtocolError,
     ServiceDefaults,
     ServiceLimits,
     ServiceOverloaded,
     TenantParser,
+    answer_front,
     error_envelope,
-    handle_catalog_record,
     handle_record,
     make_worker_solver,
     parse_line,
+    op_spec,
     resolve_catalog_record,
     routing_fingerprints,
     shard_for,
@@ -52,12 +50,10 @@ from repro.service.protocol import (
 from repro.service.server import ServiceThread, SolverService
 
 __all__ = [
-    "ADMIN_OPERATIONS",
-    "CATALOG_OPERATIONS",
     "CatalogStore",
     "ERROR_KINDS",
-    "IDEMPOTENT_OPS",
-    "OPERATIONS",
+    "OPS",
+    "OpSpec",
     "POOL_MODES",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -71,11 +67,11 @@ __all__ = [
     "ShardedSolverPool",
     "SolverService",
     "TenantParser",
-    "USER_OPERATIONS",
+    "answer_front",
     "error_envelope",
-    "handle_catalog_record",
     "handle_record",
     "make_worker_solver",
+    "op_spec",
     "parse_line",
     "resolve_catalog_record",
     "routing_fingerprints",

@@ -17,12 +17,13 @@ failures come back as ordinary ``ok: false`` envelopes, which
 prefer raising.
 
 A dropped connection (server restart, idle timeout, a fleet node dying)
-does not kill the client: for **idempotent** operations — every solver
-op answers a pure question, so all of :data:`IDEMPOTENT_OPS` qualify —
-:meth:`ServiceClient.request` reconnects and retries exactly once.
-Non-idempotent records (fleet admin mutations) surface the transport
-error instead, with the failing record's ``op`` and ``id`` named so the
-caller knows precisely what may or may not have been applied.
+does not kill the client: for ops the operation table
+(:data:`~repro.service.protocol.OPS`) marks **idempotent** — every
+solver op answers a pure question — :meth:`ServiceClient.request`
+reconnects and retries exactly once.  Non-idempotent records (catalog
+and fleet admin mutations, ``obs.profile``) surface the transport error
+instead, with the failing record's ``op`` and ``id`` named so the caller
+knows precisely what may or may not have been applied.
 """
 
 from __future__ import annotations
@@ -33,19 +34,7 @@ from typing import Any, Dict, Optional
 
 from repro.exceptions import ReproError
 from repro.obs.tracing import new_trace_id
-
-#: Operations safe to retry on a fresh connection after a transport
-#: failure: each answers a pure question (no server-side state changes
-#: beyond caches, which are idempotent by definition).  Fleet admin
-#: mutations (``fleet.drain``, ``fleet.quota``, …) and ``obs.profile``
-#: (it starts/stops the remote profiler) are deliberately absent — the
-#: caller must decide whether they were applied.
-IDEMPOTENT_OPS = frozenset(
-    {"contain", "chase", "rewrite", "stats", "ping", "fleet.status",
-     "catalog.list", "obs.metrics", "obs.trace", "obs.health"})
-
-#: Data-plane ops the client stamps with a fresh ``trace_context``.
-_TRACED_OPS = frozenset({"contain", "chase", "rewrite"})
+from repro.service.protocol import op_spec
 
 
 class ServiceClientError(ReproError):
@@ -126,19 +115,20 @@ class ServiceClient:
     def request(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Send one record, wait for its envelope.
 
-        A transport failure on an idempotent op (see
-        :data:`IDEMPOTENT_OPS`) reconnects and retries once — the common
-        case being a server restart between requests on a long-lived
-        client.  A second failure, or a failure on a non-idempotent op,
-        raises :class:`ServiceTransportError` naming the record.
+        A transport failure on an idempotent op reconnects and retries
+        once — the common case being a server restart between requests
+        on a long-lived client.  A second failure, or a failure on a
+        non-idempotent op, raises :class:`ServiceTransportError` naming
+        the record.
 
-        Tracing clients (``trace=True``, the default) stamp data-plane
-        records with a fresh ``trace_context`` — the minted id lands in
-        :attr:`last_trace_id` so the caller can fetch the request's span
-        tree back via :meth:`obs_trace`.  A caller-supplied context is
-        respected (and its id adopted).
+        Tracing clients (``trace=True``, the default) stamp traced
+        (data-plane) records with a fresh ``trace_context`` — the minted
+        id lands in :attr:`last_trace_id` so the caller can fetch the
+        request's span tree back via :meth:`obs_trace`.  A
+        caller-supplied context is respected (and its id adopted).
         """
-        if record.get("op", "contain") in _TRACED_OPS:
+        spec = op_spec(record)
+        if spec is not None and spec.traced:
             context = record.get("trace_context")
             if isinstance(context, dict) and isinstance(context.get("id"), str):
                 self.last_trace_id = context["id"]
@@ -151,7 +141,7 @@ class ServiceClient:
             return self._exchange(record)
         except ServiceTransportError:
             self.close()
-            if record.get("op", "contain") not in IDEMPOTENT_OPS:
+            if spec is None or not spec.idempotent:
                 raise
             self.connect()
             return self._exchange(record)

@@ -34,27 +34,29 @@ import queue
 import random
 import threading
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.backend import CacheBackend
 from repro.api.config import SolverConfig
 from repro.api.persistent import PersistentCache
 from repro.exceptions import ReproError
+from repro.obs.clock import Stopwatch
 from repro.service.protocol import (
-    CATALOG_OPERATIONS,
+    OPS,
     CatalogStore,
-    ProtocolError,
     ServiceDefaults,
     ServiceLimits,
     ServiceOverloaded,
     TenantParser,
-    error_envelope,
-    handle_catalog_record,
+    answer_front,
+    failure_envelope,
     handle_record,
     make_worker_solver,
     resolve_catalog_record,
     routing_fingerprints,
     shard_for,
+    success_envelope,
+    validate_record,
 )
 
 POOL_MODES = ("thread", "process", "inline")
@@ -78,6 +80,12 @@ def _process_shard_main(shard: int, config: SolverConfig,
                                         parser, shard))
     finally:
         solver.close()
+
+
+def _completed(envelope: Dict[str, Any]) -> "Future[Dict[str, Any]]":
+    future: "Future[Dict[str, Any]]" = Future()
+    future.set_result(envelope)
+    return future
 
 
 class _Shard:
@@ -247,24 +255,43 @@ class ShardedSolverPool:
                                                   self.parser)
         return shard_for(schema_fp, deps_fp, self.shard_count)
 
-    def _route(self, record: Dict[str, Any],
-               routing: Union[str, int]) -> int:
+    def _prepare(self, record: Dict[str, Any], routing: Union[str, int]
+                 ) -> Tuple[Dict[str, Any], Optional[int]]:
+        """Validate a record, then answer it here or pick its shard.
+
+        Returns ``(envelope, None)`` when the record was answered front
+        side — a ``catalog.*`` or ``obs.*`` op, or any record that fails
+        validation, catalog resolution or routing — and ``(record,
+        shard)`` otherwise, a rewrite carrying a registered
+        ``catalog_fp`` already resolved to its views text.  A bad
+        ``routing`` argument is the caller's bug and raises.
+        """
         if isinstance(routing, int):
             if not 0 <= routing < self.shard_count:
                 raise ReproError(
                     f"shard {routing} out of range [0, {self.shard_count})")
-            return routing
-        if routing == "affinity":
-            # Control ops carry no tenant; pin them to shard 0 so they
-            # route deterministically without parsing anything.
-            if record.get("op") in ("ping", "stats"):
-                return 0
-            return self.shard_for_record(record)
-        if routing == "random":
-            return self._random.randrange(self.shard_count)
-        raise ReproError(
-            f"unknown routing {routing!r}; expected 'affinity', 'random', "
-            "or a shard index")
+        elif routing not in ("affinity", "random"):
+            raise ReproError(
+                f"unknown routing {routing!r}; expected 'affinity', 'random', "
+                "or a shard index")
+        try:
+            record = validate_record(record)
+            spec = OPS[record["op"]]
+            if spec.at_front:
+                watch = Stopwatch()
+                result = answer_front(record, self)
+                return success_envelope(record, result, watch.elapsed_s), None
+            record = resolve_catalog_record(record, self.catalogs)
+            if isinstance(routing, int):
+                return record, routing
+            if routing == "random":
+                return record, self._random.randrange(self.shard_count)
+            # Ops without a tenant pin to shard 0, parsing nothing.
+            if spec.answered_by != "shard":
+                return record, 0
+            return record, self.shard_for_record(record)
+        except Exception as error:
+            return failure_envelope(record.get("id"), error), None
 
     # -- execution -----------------------------------------------------------
 
@@ -275,43 +302,17 @@ class ShardedSolverPool:
         Raises :class:`ServiceOverloaded` (and counts the rejection)
         when the target shard's inbox is full — backpressure is the
         caller's problem by design, because only the caller knows
-        whether to shed, retry, or block.
-
-        ``catalog.*`` records are answered front-side from the pool's
-        :class:`CatalogStore` (an already-completed future), and a
-        ``rewrite`` carrying a registered ``catalog_fp`` is resolved to
-        its views text here, before routing ever parses the record.
+        whether to shed, retry, or block.  Records answered front side
+        (see :meth:`_prepare`) come back as an already-completed future.
         """
-        record, completed = self._front_side(record)
-        if completed is not None:
-            return completed
-        shard = self.shards[self._route(record, routing)]
+        record, index = self._prepare(record, routing)
+        if index is None:
+            return _completed(record)
         try:
-            return shard.submit(record)
+            return self.shards[index].submit(record)
         except ServiceOverloaded:
             self.rejected += 1
             raise
-
-    def _front_side(self, record: Dict[str, Any]):
-        """Front-end catalog handling: (possibly-resolved record, done future).
-
-        The future is non-``None`` exactly when the record was fully
-        answered here (a ``catalog.*`` op, or a resolution failure that
-        became an error envelope) and must not be routed.
-        """
-        op = record.get("op")
-        if op in CATALOG_OPERATIONS:
-            future: "Future[Dict[str, Any]]" = Future()
-            future.set_result(handle_catalog_record(
-                record, self.catalogs, self.defaults, self.parser))
-            return record, future
-        try:
-            return resolve_catalog_record(record, self.catalogs), None
-        except ProtocolError as error:
-            future = Future()
-            future.set_result(error_envelope(
-                record.get("id"), error.kind, str(error)))
-            return record, future
 
     def execute(self, record: Dict[str, Any],
                 routing: Union[str, int] = "affinity") -> Dict[str, Any]:
@@ -327,11 +328,11 @@ class ShardedSolverPool:
         """
         futures = []
         for record in records:
-            record, completed = self._front_side(record)
-            if completed is not None:
-                futures.append(completed)
+            record, index = self._prepare(record, routing)
+            if index is None:
+                futures.append(_completed(record))
                 continue
-            shard = self.shards[self._route(record, routing)]
+            shard = self.shards[index]
             if self.mode == "inline":
                 futures.append(shard.submit(record))
                 continue

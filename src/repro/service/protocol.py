@@ -25,6 +25,12 @@ envelopes — ``{"id", "ok", "op", "shard", "elapsed_s", "cache_hit",
 "message"}}`` on failure — so a client never has to guess whether a
 line is an answer or a diagnostic.
 
+Which ops exist, and everything a front end decides per op — the field
+checks, the tier at a coordinator, where the op is answered, whether a
+client may retry it, whether admission control may shed it, whether it
+is traced — is declared once, in the operation table :data:`OPS`.  The
+server, the pool, the fleet coordinator and both clients read it.
+
 Everything in this module is deliberately free of I/O: the asyncio
 server, the worker pool (thread or process shards), and the tests all
 call the same :func:`parse_line` / :func:`handle_record` /
@@ -37,7 +43,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.config import SolverConfig
 from repro.api.fingerprints import (
@@ -77,40 +83,6 @@ PROTOCOL_VERSION = 2
 #: connection mid-stream.
 STREAM_LIMIT = 2 ** 24  # 16 MiB
 
-#: The operations a worker understands.  ``contain`` is the default for
-#: records without an ``op`` (the ``repro batch`` question shape).
-OPERATIONS = ("contain", "chase", "rewrite", "stats", "ping")
-
-#: The **user tier**: data-plane and read-only control operations any
-#: tenant may issue, against a worker or a fleet coordinator alike.
-USER_OPERATIONS = OPERATIONS
-
-#: The **admin tier**: fleet-management operations a coordinator accepts
-#: only with its admin token (node lifecycle, quotas, fleet status) —
-#: the kuberdock-style ADMIN/USER command split.  Workers reject these
-#: (they are meaningful only where the member registry lives).
-ADMIN_OPERATIONS = ("fleet.register", "fleet.heartbeat", "fleet.drain",
-                    "fleet.evacuate", "fleet.quota", "fleet.status")
-
-#: The **catalog tier**: view-catalog registration, so tenants with
-#: thousand-view catalogs stop resending the views text per request.
-#: ``catalog.put`` parses and fingerprints a catalog once and stores it;
-#: subsequent ``rewrite`` records may carry ``catalog_fp`` instead of
-#: ``views``.  At a worker the pool front end answers these un-gated
-#: (its listener is inside the trust boundary, like ``obs.*``); at a
-#: coordinator the mutations (``put``/``drop``) are admin-gated and
-#: broadcast to every alive node, while ``catalog.list`` stays user-tier
-#: so tenants can discover what is registered.
-CATALOG_OPERATIONS = ("catalog.put", "catalog.list", "catalog.drop")
-
-#: The **observability tier**: metrics scrape, trace lookup, health, and
-#: profiler control.  A worker answers these un-gated (its listener is
-#: already inside the trust boundary); a coordinator gates them behind
-#: the same admin token as ``fleet.*`` because its port is the one
-#: exposed to tenants.  ``obs.profile`` mutates process state (it starts
-#: and stops the sampling profiler), the other three are read-only.
-OBS_OPERATIONS = ("obs.metrics", "obs.trace", "obs.health", "obs.profile")
-
 #: Profiler actions ``obs.profile`` accepts.
 PROFILE_ACTIONS = ("status", "start", "stop", "top", "reset")
 
@@ -134,8 +106,196 @@ class ProtocolError(ReproError):
         self.kind = kind if kind in ERROR_KINDS else "internal"
 
 
-class ServiceOverloaded(ReproError):
+class ServiceOverloaded(ProtocolError):
     """Admission control rejected a request (queues full)."""
+
+    def __init__(self, message: str):
+        super().__init__("overloaded", message)
+
+
+# ---------------------------------------------------------------------------
+# The operation table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Field:
+    """One request field an op reads, and the check its value must pass.
+
+    A value is accepted when it is an instance of ``types`` and passes
+    ``check``, if one is given.  ``null`` counts as absent.  ``fields``
+    checks the members of an object-valued field, named ``outer.inner``
+    in error messages.
+    """
+
+    name: str
+    expected: str
+    types: Tuple[type, ...]
+    check: Optional[Callable[[Any], bool]] = None
+    required: bool = False
+    kind: str = "protocol"
+    fields: Tuple["Field", ...] = ()
+
+    def accepts(self, value: Any) -> bool:
+        return isinstance(value, self.types) and (
+            self.check is None or self.check(value))
+
+
+def _not_bool(value: Any) -> bool:
+    return not isinstance(value, bool)
+
+
+def _positive(value: Any) -> bool:
+    return not isinstance(value, bool) and value > 0
+
+
+def _string(name: str, required: bool = False) -> Field:
+    return Field(name, "a string", (str,), required=required)
+
+
+def _positive_int(name: str, kind: str = "protocol") -> Field:
+    return Field(name, "a positive integer", (int,), _positive, kind=kind)
+
+
+def _positive_number(name: str) -> Field:
+    return Field(name, "a positive number", (int, float), _positive)
+
+
+def _choice(name: str, choices: Tuple[str, ...]) -> Field:
+    return Field(name, f"one of {choices}", (str,),
+                 lambda value: value in choices)
+
+
+def _object(name: str, *fields: Field, required: bool = False) -> Field:
+    return Field(name, "an object", (dict,), required=required, fields=fields)
+
+
+_TENANT = (_string("schema"), _string("deps"))
+_BUDGETS = (_positive_int("max_conjuncts", "budget"),
+            _positive_int("max_level", "budget"))
+_LIMIT = _positive_int("limit")
+_NODE_NAME = (_string("node", required=True),)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """What every front end needs to know about one wire operation.
+
+    ``answered_by`` says where the op is answered:
+
+    * ``shard`` — routed by tenant affinity to one shard (pool) or one
+      node (coordinator);
+    * ``pinned`` — carries no tenant: a pool answers it on shard 0, a
+      coordinator answers it itself;
+    * ``fanout`` — a server or coordinator merges the answers of every
+      shard or node (a bare pool pins it to shard 0);
+    * ``front`` — answered by the front end from its own state;
+    * ``broadcast`` — answered by the front end, and a coordinator then
+      applies it on every alive node;
+    * ``coordinator`` — only a coordinator accepts it; a worker rejects
+      it as an unknown op.
+
+    ``tier`` matters only at a coordinator, whose port faces tenants:
+    ``admin`` ops need its admin token.  A client retries an
+    ``idempotent`` op once after a transport failure; a server refuses a
+    ``sheddable`` op with ``overloaded`` while admission control is
+    saturated; a ``traced`` op gets a ``trace_context`` minted by the
+    client, server or coordinator when none arrived.  ``fields`` is the
+    validator; ``one_of`` names fields of which at least one must be set.
+    """
+
+    name: str
+    answered_by: str
+    tier: str = "user"
+    idempotent: bool = True
+    sheddable: bool = False
+    traced: bool = False
+    fields: Tuple[Field, ...] = ()
+    one_of: Tuple[str, ...] = ()
+
+    @property
+    def at_front(self) -> bool:
+        """Answered by the front end from its catalog store or process state."""
+        return self.answered_by in ("front", "broadcast")
+
+    @property
+    def required(self) -> Tuple[str, ...]:
+        return tuple(field.name for field in self.fields if field.required)
+
+
+#: Every wire operation, in the order error messages list them.
+#: ``contain`` is the op of a record without an ``op`` field (the
+#: ``repro batch`` question shape).  At a worker the ``catalog.*`` and
+#: ``obs.*`` ops are answered un-gated, because its listener is inside
+#: the trust boundary; a coordinator's port faces tenants, so there they
+#: are admin-tier, except the read-only ``catalog.list``.
+OPS: Dict[str, OpSpec] = {spec.name: spec for spec in (
+    OpSpec("contain", "shard", sheddable=True, traced=True,
+           fields=(_string("query", True), _string("query_prime", True),
+                   *_TENANT, *_BUDGETS)),
+    OpSpec("chase", "shard", sheddable=True, traced=True,
+           fields=(_string("query", True), *_TENANT, *_BUDGETS,
+                   _choice("variant", ("R", "O")))),
+    OpSpec("rewrite", "shard", sheddable=True, traced=True,
+           fields=(_string("query", True), _string("views"),
+                   _string("catalog_fp"), _string("strategy"),
+                   *_TENANT, *_BUDGETS),
+           one_of=("views", "catalog_fp")),
+    OpSpec("stats", "fanout"),
+    OpSpec("ping", "pinned"),
+    OpSpec("catalog.put", "broadcast", tier="admin", idempotent=False,
+           sheddable=True,
+           fields=(_string("views", True), _string("schema"), _string("name"))),
+    OpSpec("catalog.list", "front", sheddable=True),
+    OpSpec("catalog.drop", "broadcast", tier="admin", idempotent=False,
+           sheddable=True, fields=(_string("catalog_fp", True),)),
+    OpSpec("obs.metrics", "front", tier="admin",
+           fields=(_choice("format", ("json", "prometheus")),)),
+    OpSpec("obs.trace", "front", tier="admin",
+           fields=(_string("trace_id"), _LIMIT)),
+    OpSpec("obs.health", "front", tier="admin"),
+    OpSpec("obs.profile", "front", tier="admin", idempotent=False,
+           fields=(_choice("action", PROFILE_ACTIONS),
+                   _positive_number("interval_s"), _LIMIT)),
+    OpSpec("fleet.register", "coordinator", tier="admin", idempotent=False,
+           fields=(_object(
+               "node",
+               Field("name", "a non-empty string", (str,), bool,
+                     required=True),
+               _string("host", True),
+               Field("port", "a TCP port number", (int,),
+                     lambda value: _not_bool(value) and 0 < value < 65536,
+                     required=True),
+               _positive_int("shard_count"),
+               _object("capacity", _positive_int("total"),
+                       _positive_number("over_commit_ratio")),
+               required=True),)),
+    OpSpec("fleet.heartbeat", "coordinator", tier="admin", idempotent=False,
+           fields=(*_NODE_NAME,
+                   Field("pending", "an integer", (int,), _not_bool))),
+    OpSpec("fleet.drain", "coordinator", tier="admin", idempotent=False,
+           fields=_NODE_NAME),
+    OpSpec("fleet.evacuate", "coordinator", tier="admin", idempotent=False,
+           fields=_NODE_NAME),
+    OpSpec("fleet.quota", "coordinator", tier="admin", idempotent=False,
+           fields=(*_TENANT, _string("schema_fp"), _string("deps_fp"),
+                   _object("quota", _positive_int("max_request_cost"),
+                           _positive_int("max_in_flight_cost")))),
+    OpSpec("fleet.status", "coordinator", tier="admin"),
+)}
+
+#: Checked on every op: the trace context a client or front end minted.
+_COMMON = (_object("trace_context", _string("id", True), _string("parent")),)
+
+
+def op_spec(record: Dict[str, Any]) -> Optional[OpSpec]:
+    """The table entry for a record's op (``contain`` when it has none).
+
+    ``None`` for an unknown or non-string op, so a client can look up
+    any record it is handed without validating it first.
+    """
+    op = record.get("op", "contain")
+    return OPS.get(op) if isinstance(op, str) else None
 
 
 @dataclass(frozen=True)
@@ -322,7 +482,7 @@ class CatalogStore:
 # ---------------------------------------------------------------------------
 
 
-def parse_line(line: str) -> Dict[str, Any]:
+def parse_line(line: str, coordinator: bool = False) -> Dict[str, Any]:
     """One wire line → a validated record dict (op resolved and checked)."""
     stripped = line.strip()
     if not stripped:
@@ -334,122 +494,102 @@ def parse_line(line: str) -> Dict[str, Any]:
     if not isinstance(record, dict):
         raise ProtocolError(
             "protocol", f"request must be a JSON object, got {type(record).__name__}")
-    return validate_record(record)
+    return validate_record(record, coordinator)
 
 
-def validate_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Structural validation; returns the record with ``op`` made explicit."""
-    op = record.get("op", "contain")
-    if (op not in OPERATIONS and op not in OBS_OPERATIONS
-            and op not in CATALOG_OPERATIONS):
-        raise ProtocolError(
-            "protocol",
-            f"unknown op {op!r}; expected one of "
-            f"{OPERATIONS + CATALOG_OPERATIONS + OBS_OPERATIONS}")
-    record = dict(record, op=op)
-    context = record.get("trace_context")
-    if context is not None:
-        if not isinstance(context, dict) or not isinstance(context.get("id"), str):
-            raise ProtocolError(
-                "protocol",
-                "'trace_context' must be an object with a string 'id'")
-        parent = context.get("parent")
-        if parent is not None and not isinstance(parent, str):
-            raise ProtocolError(
-                "protocol", "'trace_context.parent' must be a string")
-    if op in OBS_OPERATIONS:
-        return _validate_obs_record(record)
-    required = {"contain": ("query", "query_prime"),
-                "chase": ("query",),
-                "rewrite": ("query",),
-                "catalog.put": ("views",),
-                "catalog.drop": ("catalog_fp",)}.get(op, ())
-    for key in required:
-        if key not in record:
-            raise ProtocolError("protocol", f"op {op!r} requires a {key!r} field")
-    if op == "rewrite" and "views" not in record and "catalog_fp" not in record:
-        raise ProtocolError(
-            "protocol",
-            "op 'rewrite' requires a 'views' text or a registered 'catalog_fp'")
-    for key in ("query", "query_prime", "schema", "deps", "views",
-                "catalog_fp", "name", "strategy"):
-        if key in record and record[key] is not None and not isinstance(record[key], str):
-            raise ProtocolError(
-                "protocol",
-                f"{key!r} must be a string, got {type(record[key]).__name__}")
-    for key in ("max_conjuncts", "max_level"):
-        if key in record and record[key] is not None:
-            if isinstance(record[key], bool) or not isinstance(record[key], int):
-                raise ProtocolError(
-                    "budget",
-                    f"{key!r} must be an integer, got {type(record[key]).__name__}")
-            if record[key] <= 0:
-                raise ProtocolError("budget", f"{key!r} must be positive")
-    variant = record.get("variant")
-    if variant is not None and variant not in ("R", "O"):
-        raise ProtocolError("protocol", f"variant must be 'R' or 'O', got {variant!r}")
-    return record
+def validate_record(record: Dict[str, Any],
+                    coordinator: bool = False) -> Dict[str, Any]:
+    """Check a record against its op's table entry.
 
-
-def _validate_obs_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Structural checks for the ``obs.*`` tier."""
-    op = record["op"]
-    fmt = record.get("format")
-    if op == "obs.metrics" and fmt is not None and fmt not in ("json", "prometheus"):
-        raise ProtocolError(
-            "protocol", f"'format' must be 'json' or 'prometheus', got {fmt!r}")
-    if op == "obs.trace":
-        trace_id = record.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            raise ProtocolError("protocol", "'trace_id' must be a string")
-    if op == "obs.profile":
-        action = record.get("action", "status")
-        if action not in PROFILE_ACTIONS:
-            raise ProtocolError(
-                "protocol",
-                f"'action' must be one of {PROFILE_ACTIONS}, got {action!r}")
-    limit = record.get("limit")
-    if limit is not None:
-        if isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0:
-            raise ProtocolError("protocol", "'limit' must be a positive integer")
-    return record
-
-
-def handle_obs_record(record: Dict[str, Any],
-                      shard: Optional[int] = None) -> Dict[str, Any]:
-    """Answer one ``obs.*`` record from this process's observability state.
-
-    Never raises, for the same reason as :func:`handle_record`.  Answers
-    reflect the *answering process*: a front end answers from its own
-    registry and trace store, which — under process-pool shards — does
-    not include counters incremented inside shard subprocesses.  (Thread
-    shards and the coordinator, which absorbs node spans, see
-    everything.)
+    Returns a copy with ``op`` made explicit.  A worker knows every op
+    except the coordinator-only ``fleet.*`` ones; ``coordinator=True``
+    accepts those too.
     """
-    identifier = record.get("id")
-    try:
-        record = validate_record(record)
-        op = record["op"]
-        if op == "obs.metrics":
-            if record.get("format") == "prometheus":
-                result: Dict[str, Any] = {
-                    "format": "prometheus",
-                    "text": get_registry().render_prometheus(),
-                }
-            else:
-                result = {"format": "json", "metrics": get_registry().snapshot()}
-        elif op == "obs.trace":
-            result = _obs_trace_result(record)
-        elif op == "obs.health":
-            result = obs_health()
-        else:  # obs.profile
-            result = _obs_profile_result(record)
-        return _success_envelope(record, result, 0.0, None, shard)
-    except ProtocolError as error:
-        return error_envelope(identifier, error.kind, str(error), shard)
-    except Exception as error:  # pragma: no cover - defensive: bugs become envelopes
-        return error_envelope(identifier, "internal",
-                              f"{type(error).__name__}: {error}", shard)
+    spec = op_spec(record)
+    if spec is None or (spec.answered_by == "coordinator" and not coordinator):
+        accepted = tuple(name for name, entry in OPS.items()
+                         if coordinator or entry.answered_by != "coordinator")
+        raise ProtocolError(
+            "protocol",
+            f"unknown op {record.get('op')!r}; expected one of {accepted}")
+    _check_fields(spec.name, record, _COMMON)
+    _check_fields(spec.name, record, spec.fields)
+    if spec.one_of and all(record.get(key) is None for key in spec.one_of):
+        raise ProtocolError(
+            "protocol",
+            f"op {spec.name!r} requires one of the fields {spec.one_of}")
+    return dict(record, op=spec.name)
+
+
+def _check_fields(op: str, record: Dict[str, Any], fields: Tuple[Field, ...],
+                  prefix: str = "") -> None:
+    for field in fields:
+        value = record.get(field.name)
+        if value is None:
+            if field.required:
+                raise ProtocolError(
+                    "protocol",
+                    f"op {op!r} requires a {prefix + field.name!r} field")
+            continue
+        # field.accepts, inlined: a request is validated up to three
+        # times (server, pool, shard), and most fields are plain strings.
+        if not isinstance(value, field.types) or (
+                field.check is not None and not field.check(value)):
+            raise ProtocolError(
+                field.kind,
+                f"{prefix + field.name!r} must be {field.expected}, "
+                f"got {type(value).__name__} {value!r:.40}")
+        if field.fields:
+            _check_fields(op, value, field.fields, f"{prefix}{field.name}.")
+
+
+def _schema_text(record: Dict[str, Any], defaults: ServiceDefaults) -> str:
+    text = record.get("schema") or defaults.schema_text
+    if text is None:
+        raise ProtocolError(
+            "protocol",
+            "request carries no 'schema' and the server has no default schema")
+    return text
+
+
+# ---------------------------------------------------------------------------
+# Ops answered by a front end (catalog registration, observability)
+# ---------------------------------------------------------------------------
+
+
+def answer_front(record: Dict[str, Any], front: Any) -> Dict[str, Any]:
+    """The result of one validated ``catalog.*`` or ``obs.*`` record.
+
+    ``front`` is the answering pool or coordinator: its ``catalogs``
+    store, its ``defaults`` and its ``parser``.  Observability answers
+    reflect the *answering process*: under process-pool shards that does
+    not include counters incremented inside shard subprocesses (thread
+    shards and the coordinator, which absorbs node spans, see
+    everything).  Raises on bad input; the caller maps the exception to
+    an error envelope.
+    """
+    op = record["op"]
+    if op == "catalog.put":
+        entry = front.catalogs.put(record["views"],
+                                   _schema_text(record, front.defaults),
+                                   front.parser, name=record.get("name"))
+        return {key: entry[key]
+                for key in ("fingerprint", "name", "view_count", "replaced")}
+    if op == "catalog.list":
+        return {"catalogs": front.catalogs.rows(), "count": len(front.catalogs)}
+    if op == "catalog.drop":
+        return {"fingerprint": record["catalog_fp"],
+                "dropped": front.catalogs.drop(record["catalog_fp"])}
+    if op == "obs.metrics":
+        if record.get("format") == "prometheus":
+            return {"format": "prometheus",
+                    "text": get_registry().render_prometheus()}
+        return {"format": "json", "metrics": get_registry().snapshot()}
+    if op == "obs.trace":
+        return _obs_trace_result(record)
+    if op == "obs.health":
+        return obs_health()
+    return _obs_profile_result(record)
 
 
 def _obs_trace_result(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -468,13 +608,9 @@ def _obs_trace_result(record: Dict[str, Any]) -> Dict[str, Any]:
 
 def _obs_profile_result(record: Dict[str, Any]) -> Dict[str, Any]:
     profiler = get_profiler()
-    action = record.get("action", "status")
+    action = record.get("action") or "status"
     if action == "start":
         interval = record.get("interval_s")
-        if interval is not None and (isinstance(interval, bool)
-                                     or not isinstance(interval, (int, float))
-                                     or interval <= 0):
-            raise ProtocolError("protocol", "'interval_s' must be a positive number")
         started = profiler.start(float(interval) if interval else None)
         return {"action": "start", "started": started,
                 "running": profiler.running}
@@ -489,56 +625,6 @@ def _obs_profile_result(record: Dict[str, Any]) -> Dict[str, Any]:
         return dict(profiler.top(record.get("limit") or 20), action="top")
     return {"action": "status", "running": profiler.running,
             "interval_s": profiler.interval_s}
-
-
-def _schema_text(record: Dict[str, Any], defaults: ServiceDefaults) -> str:
-    text = record.get("schema") or defaults.schema_text
-    if text is None:
-        raise ProtocolError(
-            "protocol",
-            "request carries no 'schema' and the server has no default schema")
-    return text
-
-
-# ---------------------------------------------------------------------------
-# Catalog registration (answered by the front end, never by a shard)
-# ---------------------------------------------------------------------------
-
-
-def handle_catalog_record(record: Dict[str, Any], store: CatalogStore,
-                          defaults: ServiceDefaults = ServiceDefaults(),
-                          parser: Optional[TenantParser] = None,
-                          shard: Optional[int] = None) -> Dict[str, Any]:
-    """Answer one ``catalog.*`` record against a catalog store.
-
-    Never raises, for the same reason as :func:`handle_record`: on the
-    wire an exception has nowhere else to go.
-    """
-    identifier = record.get("id")
-    parser = parser if parser is not None else TenantParser()
-    try:
-        record = validate_record(record)
-        op = record["op"]
-        if op == "catalog.put":
-            entry = store.put(record["views"], _schema_text(record, defaults),
-                              parser, name=record.get("name"))
-            result = {"fingerprint": entry["fingerprint"],
-                      "name": entry["name"],
-                      "view_count": entry["view_count"],
-                      "replaced": entry["replaced"]}
-        elif op == "catalog.list":
-            result = {"catalogs": store.rows(), "count": len(store)}
-        else:  # catalog.drop
-            result = {"fingerprint": record["catalog_fp"],
-                      "dropped": store.drop(record["catalog_fp"])}
-        return _success_envelope(record, result, 0.0, None, shard)
-    except ProtocolError as error:
-        return error_envelope(identifier, error.kind, str(error), shard)
-    except ReproError as error:
-        return error_envelope(identifier, "parse", str(error), shard)
-    except Exception as error:  # pragma: no cover - defensive: bugs become envelopes
-        return error_envelope(identifier, "internal",
-                              f"{type(error).__name__}: {error}", shard)
 
 
 def resolve_catalog_record(record: Dict[str, Any],
@@ -620,9 +706,26 @@ def error_envelope(identifier: Optional[Any], kind: str, message: str,
     return envelope
 
 
-def _success_envelope(record: Dict[str, Any], result: Dict[str, Any],
-                      elapsed_s: float, cache_hit: Optional[bool],
-                      shard: Optional[int]) -> Dict[str, Any]:
+def failure_envelope(identifier: Optional[Any], error: Exception,
+                     shard: Optional[int] = None) -> Dict[str, Any]:
+    """The error envelope for an exception raised while answering a record.
+
+    The one place exceptions become error kinds: a :class:`ProtocolError`
+    carries its own kind, any other :class:`ReproError` is tenant text
+    that did not parse (or a budget the solver refused), and anything
+    else is a server bug reported as ``internal``.
+    """
+    if isinstance(error, ProtocolError):
+        return error_envelope(identifier, error.kind, str(error), shard)
+    if isinstance(error, ReproError):
+        return error_envelope(identifier, "parse", str(error), shard)
+    return error_envelope(identifier, "internal",
+                          f"{type(error).__name__}: {error}", shard)
+
+
+def success_envelope(record: Dict[str, Any], result: Dict[str, Any],
+                     elapsed_s: float = 0.0, cache_hit: Optional[bool] = None,
+                     shard: Optional[int] = None) -> Dict[str, Any]:
     envelope: Dict[str, Any] = {
         "id": record.get("id"),
         "ok": True,
@@ -691,21 +794,14 @@ def _execute_record(record: Dict[str, Any], solver: Solver,
     identifier = record.get("id")
     try:
         record = validate_record(record)
-        if record["op"] in OBS_OPERATIONS:
-            return handle_obs_record(record, shard)
-        if record["op"] in CATALOG_OPERATIONS:
+        if OPS[record["op"]].at_front:
             raise ProtocolError(
                 "protocol",
-                f"op {record['op']!r} is answered by a catalog-owning front "
-                "end (pool or coordinator), not a shard solver")
+                f"op {record['op']!r} is answered by a front end (pool or "
+                "coordinator), not a shard solver")
         return _dispatch(record, solver, defaults, limits, parser, shard)
-    except ProtocolError as error:
-        return error_envelope(identifier, error.kind, str(error), shard)
-    except ReproError as error:
-        return error_envelope(identifier, "parse", str(error), shard)
-    except Exception as error:  # pragma: no cover - defensive: bugs become envelopes
-        return error_envelope(identifier, "internal",
-                              f"{type(error).__name__}: {error}", shard)
+    except Exception as error:
+        return failure_envelope(identifier, error, shard)
 
 
 def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
@@ -713,15 +809,15 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
               shard: Optional[int]) -> Dict[str, Any]:
     op = record["op"]
     if op == "ping":
-        return _success_envelope(record, {"pong": True,
-                                          "protocol_version": PROTOCOL_VERSION},
-                                 0.0, None, shard)
+        return success_envelope(record, {"pong": True,
+                                         "protocol_version": PROTOCOL_VERSION},
+                                shard=shard)
     if op == "stats":
-        return _success_envelope(
+        return success_envelope(
             record,
             {"cache_stats": solver.cache_stats(),
              "requests": solver.stats.total_requests},
-            0.0, None, shard)
+            shard=shard)
 
     with maybe_span("parse") as span:
         parses = parser.query_parses
@@ -750,13 +846,13 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             query, query_prime, sigma, config=config, tag=record.get("id")))
         result = containment_result_to_dict(response.result)
         result["budget"] = response.budget.as_dict()
-        return _success_envelope(record, result, response.elapsed_s,
+        return success_envelope(record, result, response.elapsed_s,
                                  response.cache_hit, shard)
 
     if op == "chase":
         max_level = min(record.get("max_level") or limits.max_level,
                         limits.max_level)
-        variant = ChaseVariant(record.get("variant", "R"))
+        variant = ChaseVariant(record.get("variant") or "R")
         config = solver.config.derive(variant=variant,
                                       chase_max_conjuncts=max_conjuncts)
         response = solver.solve(ChaseRequest(
@@ -764,7 +860,7 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             tag=record.get("id")))
         result = chase_result_to_dict(response.result,
                                       include_trace=bool(record.get("trace")))
-        return _success_envelope(record, result, response.elapsed_s,
+        return success_envelope(record, result, response.elapsed_s,
                                  response.cache_hit, shard)
 
     # op == "rewrite"
@@ -787,7 +883,7 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
     response = solver.solve(RewriteRequest(
         query, catalog, sigma, config=config, tag=record.get("id")))
     result = response.report.as_dict()
-    return _success_envelope(record, result, response.elapsed_s,
+    return success_envelope(record, result, response.elapsed_s,
                              response.cache_hit, shard)
 
 

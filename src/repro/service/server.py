@@ -22,28 +22,65 @@ was executed.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.obs import ensure_default_probe
+from repro.obs.clock import Stopwatch
 from repro.obs.tracing import get_tracer, new_trace_id
 from repro.service.pool import ShardedSolverPool
 from repro.service.protocol import (
-    OBS_OPERATIONS,
+    OPS,
     STREAM_LIMIT,
     ProtocolError,
     ServiceOverloaded,
-    error_envelope,
-    handle_obs_record,
+    failure_envelope,
     parse_line,
+    success_envelope,
 )
 
-#: Data-plane ops that get a server-minted ``trace_context`` when the
-#: client did not send one: every request is traceable from the server
-#: side (slow-op log, ``obs.trace`` recents) even with untraced clients.
-_TRACED_OPERATIONS = frozenset({"contain", "chase", "rewrite"})
+
+async def serve_connection(answer: Callable[[str], Awaitable[Dict[str, Any]]],
+                           reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter) -> None:
+    """Answer one NDJSON connection, line by line, in order.
+
+    The line discipline every front end (service or fleet coordinator)
+    shares: ``answer`` turns one decoded line into an envelope, and any
+    exception it raises becomes an error envelope here, so every request
+    line gets exactly one response line.
+    """
+    try:
+        while True:
+            line = await reader.readline()
+            if not line:
+                break
+            try:
+                envelope = await answer(_decode(line))
+            except Exception as error:
+                # A replace-decode is fine for *peeking the id*, which
+                # usually sits before any bad bytes, so the client can
+                # correlate the rejection with its request.
+                envelope = failure_envelope(
+                    _peek_id(line.decode("utf-8", errors="replace")), error)
+            writer.write(json.dumps(envelope, sort_keys=True,
+                                    default=str).encode("utf-8") + b"\n")
+            await writer.drain()
+    except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+        pass
+    except asyncio.CancelledError:
+        # Shutdown cancelled us mid-read; end quietly — a handler
+        # that finishes "cancelled" makes asyncio's stream callback
+        # log a spurious traceback while the loop is closing.
+        pass
+    finally:
+        # No wait_closed(): every response was drained already, and
+        # awaiting the close handshake inside a cancelled task would
+        # re-raise immediately anyway.
+        writer.close()
 
 
 class SolverService:
@@ -101,14 +138,13 @@ class SolverService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
+        handler = functools.partial(serve_connection, self._answer)
         if self._unix_path is not None:
             self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self._unix_path,
-                limit=STREAM_LIMIT)
+                handler, path=self._unix_path, limit=STREAM_LIMIT)
         else:
             self._server = await asyncio.start_server(
-                self._handle_connection, host=self._host, port=self._port,
-                limit=STREAM_LIMIT)
+                handler, host=self._host, port=self._port, limit=STREAM_LIMIT)
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -122,112 +158,42 @@ class SolverService:
         async with self._server:
             await self._server.serve_forever()
 
-    # -- the connection handler ----------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    text = line.decode("utf-8")
-                except UnicodeDecodeError as error:
-                    # Decoding with errors="replace" would silently mangle
-                    # tenant schema/deps text and route the request as if
-                    # it were valid, so the request is still rejected —
-                    # but a replace-decode is fine for *peeking the id*,
-                    # which usually sits before the bad bytes, so the
-                    # client can correlate the rejection with its request.
-                    envelope = error_envelope(
-                        _peek_id(line.decode("utf-8", errors="replace")),
-                        "protocol",
-                        f"request line is not valid UTF-8: {error}")
-                else:
-                    envelope = await self._answer(text)
-                writer.write(json.dumps(envelope, sort_keys=True,
-                                        default=str).encode("utf-8") + b"\n")
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancelled us mid-read; end quietly — a handler
-            # that finishes "cancelled" makes asyncio's stream callback
-            # log a spurious traceback while the loop is closing.
-            pass
-        finally:
-            # No wait_closed(): every response was drained already, and
-            # awaiting the close handshake inside a cancelled task would
-            # re-raise immediately anyway.
-            writer.close()
+    # -- answering one request ------------------------------------------------
 
     async def _answer(self, line: str) -> Dict[str, Any]:
-        try:
-            record = parse_line(line)
-        except ProtocolError as error:
-            return error_envelope(_peek_id(line), error.kind, str(error))
-        if record["op"] == "stats":
-            # Answered by the front end, not one shard: a service-level
-            # stats op merges every shard's cache picture plus the
-            # pool's routing counters into one document.
-            try:
-                return await self._service_stats(record)
-            except ServiceOverloaded as error:
-                return error_envelope(record.get("id"), "overloaded", str(error))
-        if record["op"] in OBS_OPERATIONS:
-            # Control plane, answered by the front end from its own
-            # process state — which under process-pool shards does not
-            # include subprocess-side counters (thread shards see all).
-            return handle_obs_record(record)
-        if (record["op"] in _TRACED_OPERATIONS
-                and record.get("trace_context") is None
+        record = parse_line(line)
+        spec = OPS[record["op"]]
+        if (spec.traced and record.get("trace_context") is None
                 and get_tracer().enabled):
             # An untraced data-plane request still gets a server-minted
             # trace, so obs.trace / the slow-op log cover all traffic.
             record["trace_context"] = {"id": new_trace_id()}
-        if (record["op"] != "ping"  # control plane: answerable under shedding
-                and self._max_pending is not None
+        if (spec.sheddable and self._max_pending is not None
                 and self._in_flight >= self._max_pending):
-            return error_envelope(
-                record.get("id"), "overloaded",
+            raise ServiceOverloaded(
                 f"service has {self._in_flight} requests in flight "
                 f"(limit {self._max_pending}); retry later")
+        if spec.answered_by == "fanout":
+            return await self._service_stats(record)
         self._in_flight += 1
         try:
             # The pool resolves a concurrent.futures.Future from a worker
             # thread/process; wrap_future bridges it into this loop.
-            future = self._pool.submit(record)
-            return await asyncio.wrap_future(future)
-        except ServiceOverloaded as error:
-            return error_envelope(record.get("id"), "overloaded", str(error))
-        except ProtocolError as error:
-            return error_envelope(record.get("id"), error.kind, str(error))
-        except ReproError as error:
-            # Affinity routing parses schema/deps before a shard ever
-            # sees the record, so unparsable tenant text surfaces here —
-            # a client input problem, not a server bug.
-            return error_envelope(record.get("id"), "parse", str(error))
-        except Exception as error:
-            return error_envelope(record.get("id"), "internal",
-                                  f"{type(error).__name__}: {error}")
+            return await asyncio.wrap_future(self._pool.submit(record))
         finally:
             self._in_flight -= 1
 
     async def _service_stats(self, record: Dict[str, Any]) -> Dict[str, Any]:
+        """Every shard's cache picture plus the pool's routing counters."""
+        watch = Stopwatch()
         pool = self._pool
-        futures = [shard.submit({"op": "stats"}) for shard in pool.shards]
+        futures = [shard.submit({"op": record["op"]}) for shard in pool.shards]
         envelopes = [await asyncio.wrap_future(future) for future in futures]
-        return {
-            "id": record.get("id"),
-            "ok": True,
-            "op": "stats",
-            "result": {
-                "pool": pool.counters(),
-                "shards": [pool.shard_snapshot(shard, envelope)
-                           for shard, envelope in zip(pool.shards, envelopes)],
-            },
-        }
+        return success_envelope(record, {
+            "pool": pool.counters(),
+            "shards": [pool.shard_snapshot(shard, envelope)
+                       for shard, envelope in zip(pool.shards, envelopes)],
+        }, watch.elapsed_s)
 
     # -- synchronous embedding ----------------------------------------------
 
@@ -238,6 +204,16 @@ class SolverService:
         work — the caller's thread stays free while the loop serves.
         """
         return ServiceThread(self)
+
+
+def _decode(line: bytes) -> str:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as error:
+        # Decoding with errors="replace" would silently mangle tenant
+        # schema/deps text and route the request as if it were valid.
+        raise ProtocolError(
+            "protocol", f"request line is not valid UTF-8: {error}") from error
 
 
 def _peek_id(line: str) -> Optional[Any]:

@@ -492,6 +492,43 @@ class TestFleetEndToEnd:
         finally:
             thread.stop()
 
+    @pytest.mark.parametrize("record", [
+        {"op": "fleet.quota", "schema": 5},
+        {"op": "fleet.quota", "schema": SCHEMA_TEXT, "deps": 9},
+        {"op": "fleet.quota", "schema": SCHEMA_TEXT,
+         "quota": {"max_request_cost": "x"}},
+        {"op": "fleet.register", "node": {
+            "name": "n", "host": "127.0.0.1", "port": 1,
+            "protocol_version": 2, "capacity": 5}},
+        {"op": "fleet.register", "node": {
+            "name": "n", "host": "127.0.0.1", "port": 1,
+            "protocol_version": 2, "capacity": {"total": "x"}}},
+        {"op": "fleet.register", "node": {
+            "name": "n", "host": "127.0.0.1", "port": 1,
+            "protocol_version": 2, "shard_count": "z"}},
+        {"op": "fleet.register", "node": {
+            "name": "n", "host": "127.0.0.1", "port": 70000,
+            "protocol_version": 2}},
+        {"op": "fleet.status", "trace_context": 5},
+    ])
+    def test_malformed_admin_records_are_protocol_errors(self, record):
+        with running_fleet(node_count=1) as fleet:
+            with ServiceClient(port=fleet.port) as client:
+                envelope = client.request(dict(record, admin_token=TOKEN,
+                                               id="bad"))
+                assert envelope["id"] == "bad"
+                assert not envelope["ok"]
+                assert envelope["error"]["kind"] == "protocol", envelope
+                # Nothing was registered by the rejected records.
+                assert client.ping() and len(fleet.coordinator.ring) == 1
+
+    def test_unknown_op_lists_the_coordinator_ops(self):
+        with running_fleet(node_count=1) as fleet:
+            with ServiceClient(port=fleet.port) as client:
+                envelope = client.request({"op": "nonsense"})
+                message = envelope["error"]["message"]
+                assert "fleet.status" in message and "contain" in message
+
     def test_malformed_lines_get_envelopes(self):
         with running_fleet(node_count=1) as fleet:
             with ServiceClient(port=fleet.port) as client:

@@ -47,9 +47,7 @@ from repro.service import (
     SolverService,
 )
 from repro.service.protocol import (
-    OBS_OPERATIONS,
-    OPERATIONS,
-    handle_obs_record,
+    OPS,
     handle_record,
     make_worker_solver,
     validate_record,
@@ -433,9 +431,21 @@ class TestSamplingProfiler:
 # ---------------------------------------------------------------------------
 
 
+OBS_OPS = tuple(op for op in OPS if op.startswith("obs."))
+
+
+@pytest.fixture()
+def answer_obs():
+    """Answers a record the way a worker's pool front end does."""
+    with ShardedSolverPool(shard_count=1, mode="inline") as pool:
+        yield pool.execute
+
+
 class TestObsProtocol:
     def test_obs_ops_validate(self):
-        for op in OBS_OPERATIONS:
+        assert OBS_OPS == ("obs.metrics", "obs.trace", "obs.health",
+                           "obs.profile")
+        for op in OBS_OPS:
             assert validate_record({"op": op})["op"] == op
 
     def test_unknown_op_names_the_obs_tier(self):
@@ -450,53 +460,53 @@ class TestObsProtocol:
             with pytest.raises(ProtocolError):
                 validate_record({"op": "ping", "trace_context": bad})
 
-    def test_metrics_record_formats(self):
-        json_result = handle_obs_record({"op": "obs.metrics"})["result"]
+    def test_metrics_record_formats(self, answer_obs):
+        json_result = answer_obs({"op": "obs.metrics"})["result"]
         assert json_result["format"] == "json"
         assert isinstance(json_result["metrics"], dict)
-        prom = handle_obs_record(
+        prom = answer_obs(
             {"op": "obs.metrics", "format": "prometheus"})["result"]
         assert prom["format"] == "prometheus"
         assert isinstance(prom["text"], str)
-        bad = handle_obs_record({"op": "obs.metrics", "format": "xml"})
+        bad = answer_obs({"op": "obs.metrics", "format": "xml"})
         assert bad["error"]["kind"] == "protocol"
 
-    def test_trace_lookup_and_listing(self):
+    def test_trace_lookup_and_listing(self, answer_obs):
         tracer = get_tracer()
         with tracer.start_trace("protocol-test") as root:
             pass
-        found = handle_obs_record(
+        found = answer_obs(
             {"op": "obs.trace", "trace_id": root.trace_id})["result"]
         assert found["found"]
         assert found["spans"][0]["name"] == "protocol-test"
-        missing = handle_obs_record(
+        missing = answer_obs(
             {"op": "obs.trace", "trace_id": "no-such"})["result"]
         assert not missing["found"]
-        recents = handle_obs_record({"op": "obs.trace"})["result"]
+        recents = answer_obs({"op": "obs.trace"})["result"]
         assert any(entry["trace_id"] == root.trace_id
                    for entry in recents["traces"])
 
-    def test_health_shape(self):
-        result = handle_obs_record({"op": "obs.health"})["result"]
+    def test_health_shape(self, answer_obs):
+        result = answer_obs({"op": "obs.health"})["result"]
         assert result["pid"] > 0
         assert "tracer" in result and "profiler" in result
 
-    def test_profile_lifecycle_over_protocol(self):
+    def test_profile_lifecycle_over_protocol(self, answer_obs):
         try:
-            started = handle_obs_record(
+            started = answer_obs(
                 {"op": "obs.profile", "action": "start",
                  "interval_s": 0.001})["result"]
             assert started["running"]
-            status = handle_obs_record({"op": "obs.profile"})["result"]
+            status = answer_obs({"op": "obs.profile"})["result"]
             assert status["running"]
         finally:
-            stopped = handle_obs_record(
+            stopped = answer_obs(
                 {"op": "obs.profile", "action": "stop"})["result"]
             assert not stopped["running"]
-        top = handle_obs_record(
+        top = answer_obs(
             {"op": "obs.profile", "action": "top", "limit": 3})["result"]
         assert len(top["sites"]) <= 3
-        bad = handle_obs_record({"op": "obs.profile", "action": "launch"})
+        bad = answer_obs({"op": "obs.profile", "action": "launch"})
         assert bad["error"]["kind"] == "protocol"
 
     def test_worker_attaches_spans_when_asked_to_collect(self):
@@ -607,15 +617,23 @@ class TestServiceObservability:
             pool.close()
 
     def test_obs_profile_not_idempotent_for_retry(self):
-        from repro.service.client import IDEMPOTENT_OPS
-
-        assert "obs.metrics" in IDEMPOTENT_OPS
-        assert "obs.trace" in IDEMPOTENT_OPS
-        assert "obs.health" in IDEMPOTENT_OPS
-        assert "obs.profile" not in IDEMPOTENT_OPS
+        assert OPS["obs.metrics"].idempotent
+        assert OPS["obs.trace"].idempotent
+        assert OPS["obs.health"].idempotent
+        assert not OPS["obs.profile"].idempotent
 
     def test_obs_operations_disjoint_from_data_plane(self):
-        assert not set(OBS_OPERATIONS) & set(OPERATIONS)
+        data_plane = {op for op, spec in OPS.items()
+                      if spec.answered_by == "shard"}
+        assert data_plane == {"contain", "chase", "rewrite"}
+        assert not set(OBS_OPS) & data_plane
+        # Answered by the front end from its own process state, never
+        # shed, and admin-tier wherever a tier applies (a coordinator).
+        for op in OBS_OPS:
+            spec = OPS[op]
+            assert spec.answered_by == "front"
+            assert not spec.sheddable and not spec.traced
+            assert spec.tier == "admin"
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,8 @@ class TestProtocol:
         (json.dumps({"op": "chase", "query": QUERY, "max_level": 0}), "budget"),
         (json.dumps({"op": "chase", "query": QUERY, "max_conjuncts": True}), "budget"),
         (json.dumps({"op": "chase", "query": QUERY, "variant": "Z"}), "protocol"),
+        (json.dumps({"op": "chase", "query": None}), "protocol"),
+        (json.dumps({"op": "fleet.status"}), "protocol"),
     ])
     def test_parse_line_rejects(self, line, kind):
         with pytest.raises(ProtocolError) as excinfo:
@@ -518,6 +520,29 @@ class TestShardedSolverPool:
             ShardedSolverPool(mode="quantum")
         with pytest.raises(ReproError):
             ShardedSolverPool(max_pending=0)
+
+    @pytest.mark.parametrize("record", [
+        {"id": "n", "op": None},
+        {"id": "o", "op": {"a": 1}},
+        contain_record(id="s", schema=5),
+        contain_record(id="d", deps=7),
+    ])
+    def test_invalid_records_get_envelopes_not_exceptions(self, record):
+        with ShardedSolverPool(shard_count=2, mode="inline") as pool:
+            for envelope in (pool.execute(record),
+                             pool.execute_all([record])[0]):
+                assert envelope["id"] == record["id"]
+                assert not envelope["ok"]
+                assert envelope["error"]["kind"] == "protocol"
+
+    def test_obs_ops_are_answered_at_the_pool_front(self):
+        # No schema anywhere: an obs op must not reach affinity routing.
+        with ShardedSolverPool(shard_count=2, mode="inline") as pool:
+            for envelope in (pool.execute({"op": "obs.health", "id": "h"}),
+                             pool.execute_all([{"op": "obs.health"}])[0]):
+                assert envelope["ok"], envelope
+                assert envelope["result"]["pid"] > 0
+                assert "shard" not in envelope
 
     def test_explicit_and_bad_routing(self):
         from repro.exceptions import ReproError
