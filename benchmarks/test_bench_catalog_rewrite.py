@@ -1,15 +1,15 @@
-"""E22 — catalog-scale rewriting: bucketed candidate generation vs. exhaustive.
+"""E22 — catalog-scale rewriting: the bucketed rewriter vs. the exhaustive oracle.
 
-PR 10 split ``rewrite_with_views`` into a staged pipeline (catalog index
-→ image discovery → candidate generation → certification → ranking)
-with the candidate generator pluggable behind ``views/registry.py``.
-The ``bucketed`` strategy adds a signature-indexed catalog probe (views
-whose bodies mention relations the chased query never touches are
-pruned before image discovery) and MiniCon-style bucket growth that
-discards head-variable-unsafe combinations *before* certification —
-while ``exhaustive`` (the seed algorithm, verbatim) blindly enumerates
-every subset of images and pays two containment calls per junk
-candidate.
+``rewrite_with_views`` runs as a staged pipeline (catalog index → image
+discovery → candidate generation → certification → ranking).
+``bucketed`` rewrites — it is the one production candidate generator:
+a signature-indexed catalog probe prunes views whose bodies mention
+relations the chased query never touches before image discovery, and
+MiniCon-style bucket growth discards head-variable-unsafe combinations
+*before* certification.  ``exhaustive`` (the original algorithm, verbatim)
+is kept only as the oracle: it blindly enumerates every subset of
+images and pays two containment calls per junk candidate.  This
+benchmark and the differential tests are what select it.
 
 Workload: a 500-view LAV catalog (projections, constant selections,
 binary joins, and Σ-derived key-join collapses) over a 22-relation

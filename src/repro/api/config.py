@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 
 from repro.chase.engine import ChaseConfig, ChaseVariant, resolve_engine_name, validate_engine_name
 from repro.exceptions import ReproError
-from repro.views.registry import resolve_rewriter_name, validate_rewriter_name
 
 #: The executors ``Solver.solve_many`` understands.
 EXECUTORS = ("serial", "thread", "process")
@@ -96,14 +95,13 @@ class SolverConfig:
     rewrite_chase_level:
         Chase depth for view matching; ``None`` sizes it from the
         catalog's largest view body.
-    rewrite_strategy:
-        Any name in the rewriter registry: ``"exhaustive"`` (the
-        certified reference — every view matched, all image subsets
-        tried) or ``"bucketed"`` (MiniCon-style: a signature index
-        prunes views before matching and candidates grow through
-        per-subgoal buckets; the catalog-scale strategy).  ``None``
-        defers to ``$REPRO_REWRITE_STRATEGY`` and then to
-        ``"exhaustive"``.
+
+    Candidates always come from the ``bucketed`` rewriter (a signature
+    index prunes views before matching, and candidates grow through
+    per-subgoal buckets).  The ``exhaustive`` rewriter is only the
+    reference oracle, reached through
+    ``rewrite_with_views(..., strategy="exhaustive")``; no config field
+    selects it.
 
     Session knobs:
 
@@ -141,7 +139,6 @@ class SolverConfig:
     rewrite_max_combination_size: int = 2
     rewrite_max_candidates: int = 256
     rewrite_chase_level: Optional[int] = None
-    rewrite_strategy: Optional[str] = None
 
     containment_cache_size: int = 1_024
     chase_cache_size: int = 256
@@ -175,10 +172,6 @@ class SolverConfig:
             # ChaseError is a ReproError, so callers catching the facade
             # exception keep working.
             validate_engine_name(self.chase_engine)
-        if self.rewrite_strategy is not None:
-            # Same arrangement for the rewriter registry (ViewError is a
-            # ReproError too).
-            validate_rewriter_name(self.rewrite_strategy)
         if self.parallelism is not None and self.parallelism <= 0:
             raise ReproError("parallelism must be positive (or None for sequential)")
         if self.executor not in EXECUTORS:
@@ -230,10 +223,6 @@ class SolverConfig:
             self.rewrite_max_combination_size,
             self.rewrite_max_candidates,
             self.rewrite_chase_level,
-            # Resolved, like the chase engine: an explicit "exhaustive"
-            # and the default share entries, and strategies never share
-            # each other's reports.
-            resolve_rewriter_name(self.rewrite_strategy),
         )
 
     def chase_config(self, max_level: Optional[int] = None) -> ChaseConfig:

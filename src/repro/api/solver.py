@@ -75,7 +75,7 @@ from repro.views.rewriting import RewriteReport, rewrite_with_views
 from repro.views.view import ViewCatalog
 
 #: Catalog indexes kept per solver (keyed by catalog fingerprint); small
-#: because one index serves every query and strategy over that catalog.
+#: because one index serves every query over that catalog.
 _CATALOG_INDEX_CACHE_SIZE = 32
 
 
@@ -443,10 +443,9 @@ class Solver:
                           fingerprint: Optional[str] = None) -> CatalogIndex:
         """The catalog's signature index, built once per fingerprint.
 
-        Index-using rewrite strategies (``"bucketed"``) probe this to
-        prune views before any homomorphism search; sharing it across
-        calls means a thousand-view catalog is indexed once, not once
-        per query.
+        The ``bucketed`` rewriter probes this to prune views before any
+        homomorphism search; sharing it across calls means a
+        thousand-view catalog is indexed once, not once per query.
         """
         key = fingerprint if fingerprint is not None else catalog_fingerprint(catalog)
         cached = self._catalog_indexes.get(key)
@@ -499,17 +498,11 @@ class Solver:
             if cached is not None:
                 return cached, True
 
-        # The signature index is a derived structure shared across every
-        # query against this catalog; the exhaustive strategy never
-        # probes it, so only index-using strategies pay the (cached)
-        # build.
-        from repro.views.registry import resolve_rewriter_name
-        strategy = resolve_rewriter_name(config.rewrite_strategy)
-        catalog_index = (
-            self.catalog_index_for(catalog, key[1] if cacheable else None)
-            if strategy != "exhaustive" else None)
-
         def compute() -> RewriteReport:
+            # The signature index is a derived structure shared across
+            # every query against this catalog.
+            catalog_index = self.catalog_index_for(
+                catalog, key[1] if cacheable else None)
             with maybe_span("rewrite.search"):
                 return rewrite_with_views(
                 query, catalog, sigma, solver=self, cost_model=cost_model,
@@ -518,7 +511,6 @@ class Solver:
                 max_candidates=config.rewrite_max_candidates,
                 chase_level=config.rewrite_chase_level,
                 chase_max_conjuncts=config.chase_max_conjuncts,
-                strategy=strategy,
                 catalog_index=catalog_index,
                 # Certification must follow the config the cache key reflects,
                 # even when it differs from this solver's session config.

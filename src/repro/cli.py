@@ -60,7 +60,6 @@ from repro.containment.serialization import (
 )
 from repro.chase.engine import ChaseConfig, ChaseVariant
 from repro.chase.registry import available_engines
-from repro.views.registry import available_rewriters
 from repro.dependencies.dependency_set import DependencySet
 from repro.dependencies.ind_inference import ind_implied_by_axioms
 from repro.exceptions import ReproError
@@ -185,12 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(one 'V(args) :- body' per line)")
     rewrite.add_argument("--best-only", action="store_true",
                          help="print only the best certified rewriting")
-    rewrite.add_argument("--strategy", choices=list(available_rewriters()),
-                         default=None,
-                         help="candidate-generation strategy (default: "
-                              "$REPRO_REWRITE_STRATEGY or 'exhaustive'; "
-                              "'bucketed' adds the signature index and "
-                              "MiniCon-style buckets for large catalogs)")
     rewrite.add_argument("--explain", action="store_true",
                          help="print per-stage pipeline timings (index probe, "
                               "image discovery, candidate generation, "
@@ -433,8 +426,6 @@ def _command_rewrite(options: argparse.Namespace, solver: Solver) -> int:
     sigma = _load_dependencies(options.deps, schema)
     query = parse_query(_read_text(options.query), schema)
     catalog = parse_views(_read_text(options.views), schema)
-    if options.strategy is not None:
-        solver = Solver(solver.config.derive(rewrite_strategy=options.strategy))
     report = solver.rewrite(query, catalog, sigma)
     if options.json:
         document = report.as_dict()

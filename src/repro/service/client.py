@@ -205,7 +205,6 @@ class ServiceClient:
 
     def rewrite(self, query: str, views: Optional[str] = None, *,
                 catalog_fp: Optional[str] = None,
-                strategy: Optional[str] = None,
                 schema: Optional[str] = None,
                 deps: Optional[str] = None, identifier: Optional[str] = None,
                 **budgets: Any) -> Dict[str, Any]:
@@ -213,12 +212,11 @@ class ServiceClient:
 
         Exactly one of ``views`` (the text) or ``catalog_fp`` (a
         fingerprint returned by :meth:`catalog_put`) identifies the
-        catalog; ``strategy`` optionally picks a rewriter registered on
-        the server (``"exhaustive"``/``"bucketed"``).
+        catalog.
         """
         record = {"op": "rewrite", "query": query, "views": views,
-                  "catalog_fp": catalog_fp, "strategy": strategy,
-                  "schema": schema, "deps": deps, "id": identifier, **budgets}
+                  "catalog_fp": catalog_fp, "schema": schema, "deps": deps,
+                  "id": identifier, **budgets}
         return self.request(_drop_none(record))
 
     # -- catalog registration ------------------------------------------------

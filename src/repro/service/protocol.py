@@ -238,8 +238,7 @@ OPS: Dict[str, OpSpec] = {spec.name: spec for spec in (
                    _choice("variant", ("R", "O")))),
     OpSpec("rewrite", "shard", sheddable=True, traced=True,
            fields=(_string("query", True), _string("views"),
-                   _string("catalog_fp"), _string("strategy"),
-                   *_TENANT, *_BUDGETS),
+                   _string("catalog_fp"), *_TENANT, *_BUDGETS),
            one_of=("views", "catalog_fp")),
     OpSpec("stats", "fanout"),
     OpSpec("ping", "pinned"),
@@ -876,10 +875,6 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             "pool or coordinator front end")
     catalog = parser.catalog(views_text, schema_text)
     config = solver.config.derive(max_conjuncts=max_conjuncts)
-    if record.get("strategy") is not None:
-        # Validated by SolverConfig via the rewriter registry; an
-        # unknown name raises ViewError → a "parse" error envelope.
-        config = config.derive(rewrite_strategy=record["strategy"])
     response = solver.solve(RewriteRequest(
         query, catalog, sigma, config=config, tag=record.get("id")))
     result = response.report.as_dict()

@@ -12,10 +12,11 @@ use **materialized views** under FDs and INDs, via chase & backchase.
   (catalog index → image discovery → candidate generation →
   certification → ranking) returning a ranked :class:`RewriteReport`
   of certified rewritings;
-* :mod:`repro.views.registry` — the pluggable candidate-generation
-  strategies (``"exhaustive"`` — the certified reference subset sweep;
-  ``"bucketed"`` — MiniCon-style buckets behind a
-  :class:`CatalogIndex` for thousand-view catalogs);
+* :mod:`repro.views.registry` — the two candidate generators:
+  ``"bucketed"`` rewrites (MiniCon-style buckets behind a
+  :class:`CatalogIndex`, built for thousand-view catalogs) and
+  ``"exhaustive"`` is the oracle (the original subset sweep, which the
+  differential tests certify ``bucketed`` against);
 * :mod:`repro.views.cost` — pluggable ranking (default: fewest atoms,
   then fewest base-relation accesses).
 
@@ -34,11 +35,8 @@ from repro.views.expansion import expand_query, expand_view_atom
 from repro.views.index import CatalogIndex, build_catalog_index
 from repro.views.registry import (
     DEFAULT_REWRITE_STRATEGY,
-    REWRITE_STRATEGY_ENV_VAR,
-    RewriterProtocol,
     available_rewriters,
     create_rewriter,
-    register_rewriter,
     resolve_rewriter_name,
     validate_rewriter_name,
 )
@@ -61,9 +59,7 @@ __all__ = [
     "CostModel",
     "DEFAULT_REWRITE_STRATEGY",
     "ExhaustiveRewriter",
-    "REWRITE_STRATEGY_ENV_VAR",
     "RewriteReport",
-    "RewriterProtocol",
     "Rewriting",
     "View",
     "ViewCatalog",
@@ -78,7 +74,6 @@ __all__ = [
     "find_view_images",
     "iter_bucket_combinations",
     "match_level",
-    "register_rewriter",
     "resolve_rewriter_name",
     "rewrite_with_views",
     "validate_rewriter_name",

@@ -1,8 +1,9 @@
 """MiniCon-style buckets: structured candidate growth for the backchase.
 
-The exhaustive strategy tries every subset of the matched view images up
-to the combination-size budget — |images| choose k candidates, blind to
-whether a combination can possibly improve on its parts.  Buckets
+This is the production candidate generator (the ``bucketed`` rewriter).
+The ``exhaustive`` oracle tries every subset of the matched view images
+up to the combination-size budget — |images| choose k candidates, blind
+to whether a combination can possibly improve on its parts.  Buckets
 (Pottinger & Halevy, VLDB J. 2001) organise the images *per query
 subgoal*: for each level-0 chase atom, the images whose coverage
 includes it.  Candidate combinations then grow only in ways that can
@@ -19,11 +20,12 @@ matter:
   exposed by some view atom — otherwise the expansion freshens that
   variable away and certification cannot succeed.
 
-Both rules trade exhaustiveness for scale; the repo's seeded
-differential sweep (exhaustive vs bucketed, same best cost) is the
-empirical certificate, exactly as PR 3/PR 9 certified the chase
-engines.  Combinations are enumerated smallest-first in the images'
-sort order, mirroring the exhaustive strategy's candidate order.
+Both rules trade exhaustiveness for scale; the seeded differential
+sweeps over key-based and embedded (TGD/EGD) Σ — bucketed against the
+exhaustive oracle, same best cost — are the empirical certificate, the
+way the chase engines are certified against the legacy oracle.
+Combinations are enumerated smallest-first in the images' sort order,
+mirroring the oracle's candidate order.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = ["BucketStatistics", "build_buckets", "iter_bucket_combinations"]
 
 @dataclass
 class BucketStatistics:
-    """Counters the bucketed strategy reports back into the pipeline."""
+    """Counters the bucketed rewriter reports back into the pipeline."""
 
     buckets: int = 0
     combos_emitted: int = 0

@@ -5,8 +5,8 @@ mentions (at the right arity) appears among the chase's atoms, and every
 constant its body pins at a position appears at that position in some
 chase atom of the same relation.  For a production catalog of thousands
 of LAV views over a wide schema, most views fail that test for any given
-query — and the exhaustive strategy still pays a homomorphism search per
-view to find out.
+query — and the ``exhaustive`` oracle still pays a homomorphism search
+per view to find out.
 
 :class:`CatalogIndex` precomputes, once per catalog:
 
@@ -25,9 +25,10 @@ Probing happens against the *chased* atoms, so EGD/FD-implied equalities
 from Σ are already applied (key-merged constants are visible at their
 merged positions) and coverage a raw-query index would miss is kept.
 
-Indexes are built once per catalog fingerprint and shared through the
-solver's rewrite plumbing (:meth:`repro.api.solver.Solver` keeps a small
-fingerprint-keyed cache).
+The ``bucketed`` rewriter, the production path, probes this index on
+every search.  Indexes are built once per catalog fingerprint and shared
+through the solver's rewrite plumbing (:meth:`repro.api.solver.Solver`
+keeps a small fingerprint-keyed cache).
 """
 
 from __future__ import annotations

@@ -11,20 +11,21 @@ primitives, run as a staged pipeline:
    atom).  Because the chase has already applied Σ's FD/EGD merges, view
    matching sees the canonical form — key-merged atoms cannot hide
    coverage.
-2. **Catalog index / view selection** — the active rewriter strategy
-   (see :mod:`repro.views.registry`) decides which catalog views are
-   worth a homomorphism search at all.  ``"exhaustive"`` tries every
-   view; ``"bucketed"`` probes a :class:`~repro.views.index.CatalogIndex`
-   keyed on relation signatures, so a thousand-view catalog costs only
-   its handful of signature-compatible views.
+2. **Catalog index / view selection** — the ``bucketed`` rewriter
+   probes a :class:`~repro.views.index.CatalogIndex` keyed on relation
+   signatures, so in a thousand-view catalog only the handful of
+   signature-compatible views pay for a homomorphism search.  The
+   ``exhaustive`` oracle (see :mod:`repro.views.registry`) keeps every
+   view.
 3. **Image discovery** — the surviving views' defining queries are
    matched into the chase by homomorphism; the view tgds of the textbook
    backchase are applied here as one-shot match rules rather than as
    chase dependencies.
-4. **Candidate generation** — the strategy turns matched images into
-   candidate combinations: all subsets up to the size budget
-   (exhaustive) or MiniCon-style bucket growth
-   (:mod:`repro.views.buckets`).
+4. **Candidate generation** — ``bucketed`` grows candidate
+   combinations through MiniCon-style per-subgoal buckets
+   (:mod:`repro.views.buckets`); ``exhaustive`` tries every image subset
+   up to the size budget.  Both feed the same certification stage, so
+   the generator changes cost, not which rewritings are proved.
 5. **Certification and ranking** — each candidate (view atoms plus the
    uncovered base atoms) is expanded back to the base schema and kept
    exactly when the containment engine certifies it equivalent to the
@@ -61,7 +62,7 @@ from repro.views.buckets import (
 from repro.views.cost import CostModel, default_cost
 from repro.views.expansion import expand_query
 from repro.views.index import build_catalog_index
-from repro.views.registry import register_rewriter
+from repro.views.registry import create_rewriter
 from repro.views.view import ViewCatalog
 
 
@@ -124,8 +125,8 @@ class RewriteReport:
     an empty result is "none found within budget", not "none exists";
     ``views_skipped`` names the catalog views the image cap prevented
     from being scanned at all, so a truncated search is diagnosable.
-    ``views_pruned`` counts views the strategy's catalog index rejected
-    before any homomorphism search (always 0 for ``exhaustive``), and
+    ``views_pruned`` counts views the catalog index rejected before any
+    homomorphism search (always 0 for the ``exhaustive`` oracle), and
     ``candidates_skipped_unsafe`` / ``candidates_deduped`` count the
     candidates the safety check and the dedup set swallowed — the data
     budget tuning needs.  ``stage_timings`` maps pipeline stage names to
@@ -140,7 +141,7 @@ class RewriteReport:
     candidates_tried: int = 0
     unsatisfiable: bool = False
     search_truncated: bool = False
-    strategy: str = "exhaustive"
+    strategy: str = "bucketed"
     views_pruned: int = 0
     views_skipped: List[str] = field(default_factory=list)
     candidates_skipped_unsafe: int = 0
@@ -226,7 +227,7 @@ def find_view_images(views: Sequence,
     """All (deduplicated) matches of the given views into the chase.
 
     ``views`` is any iterable of :class:`~repro.views.view.View` — the
-    whole catalog, or the subset a strategy's index selected.  Returns
+    whole catalog, or the subset the catalog index selected.  Returns
     the images, a truncation flag, and the names of the views the image
     cap prevented from being scanned at all (hitting the cap mid-catalog
     used to abandon the remaining views silently).
@@ -302,23 +303,22 @@ def find_view_images(views: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# Candidate-generation strategies (see repro.views.registry)
+# Candidate generators: bucketed rewrites, exhaustive is the oracle
 # ---------------------------------------------------------------------------
 
 
 class ExhaustiveRewriter:
     """The seed behaviour: match every view, try every image subset.
 
-    The certified reference the bucketed strategy is differentially
-    tested against — its enumeration order and truncation points are
-    byte-identical to the pre-registry monolithic search.
+    The reference oracle the bucketed rewriter is differentially tested
+    against — its enumeration order and truncation points are
+    byte-identical to the original monolithic search.
     """
 
     strategy_name = "exhaustive"
 
     def __init__(self) -> None:
         self.views_pruned = 0
-        self.combos_pruned_unsafe = 0
 
     def select_views(self, catalog, chase_atoms, index_provider):
         return list(catalog)
@@ -332,17 +332,13 @@ class ExhaustiveRewriter:
 
 
 class BucketedRewriter:
-    """MiniCon-style: signature-index view pruning + bucketed growth."""
+    """The production rewriter: signature-index view pruning + bucketed growth."""
 
     strategy_name = "bucketed"
 
     def __init__(self) -> None:
         self.views_pruned = 0
         self.statistics = BucketStatistics()
-
-    @property
-    def combos_pruned_unsafe(self) -> int:
-        return self.statistics.combos_pruned_unsafe
 
     def select_views(self, catalog, chase_atoms, index_provider):
         index = index_provider()
@@ -360,10 +356,6 @@ class BucketedRewriter:
         return iter_bucket_combinations(
             images, buckets, base_conjuncts, summary_row,
             max_combination_size, self.statistics)
-
-
-register_rewriter("exhaustive", ExhaustiveRewriter)
-register_rewriter("bucketed", BucketedRewriter)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +395,13 @@ def rewrite_with_views(query: ConjunctiveQuery,
     number of view images collected, the number of view atoms per
     candidate, and the number of candidates certified.
 
-    ``strategy`` names a registered rewriter (``None`` resolves through
-    ``$REPRO_REWRITE_STRATEGY`` to ``"exhaustive"``); ``catalog_index``
+    ``strategy`` is ``None`` or ``"bucketed"`` for the production
+    rewriter, or ``"exhaustive"`` for the reference oracle the
+    differential tests and E22 compare it against; ``catalog_index``
     optionally supplies a prebuilt
     :class:`~repro.views.index.CatalogIndex` for the catalog (the solver
-    passes its fingerprint-cached one) — index-using strategies build a
-    fresh one when it is absent.
+    passes its fingerprint-cached one) — ``bucketed`` builds a fresh one
+    when it is absent.
 
     ``containment_options`` are the legacy containment keywords, passed
     through to every certification call; the matching chase follows the
@@ -443,7 +436,6 @@ def _rewrite_with_views(query: ConjunctiveQuery,
                         **containment_options) -> RewriteReport:
     from repro.api.solver import resolve_solver
     from repro.chase.engine import ChaseConfig
-    from repro.views.registry import create_rewriter
 
     session = resolve_solver(solver)
     sigma = dependencies if dependencies is not None else DependencySet()
@@ -477,7 +469,7 @@ def _rewrite_with_views(query: ConjunctiveQuery,
     # The FD-normalised original: level-0 conjuncts plus the (possibly
     # merged) summary row.  Candidates are built from these atoms so FD
     # merges performed by the chase do not mask coverage — and the
-    # strategy's index probe sees the chased canonical form, so
+    # index probe sees the chased canonical form, so
     # EGD-implied equalities cannot hide a view either.
     base_conjuncts = chase_result.conjuncts_up_to_level(0)
     summary_row = chase_result.summary_row
@@ -561,10 +553,12 @@ def _rewrite_with_views(query: ConjunctiveQuery,
             forward=forward,
             backward=backward,
         ))
-    # The bucketed strategy pre-filters unsafe combinations during
-    # growth; fold its count in so the report is strategy-agnostic.
-    report.candidates_skipped_unsafe += getattr(
-        rewriter, "combos_pruned_unsafe", 0)
+    if isinstance(rewriter, BucketedRewriter):
+        # Bucket growth drops unsafe combinations before they reach the
+        # safety check; fold them in so the count means the same for
+        # both rewriters.
+        report.candidates_skipped_unsafe += (
+            rewriter.statistics.combos_pruned_unsafe)
     timings["certification"] = watch.restart()
 
     certified.sort(key=lambda rewriting: rewriting.cost)

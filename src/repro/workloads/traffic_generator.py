@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
 from repro.workloads.dependency_generator import DependencyGenerator
 from repro.workloads.query_generator import QueryGenerator
@@ -186,16 +186,14 @@ class TrafficGenerator:
                  "name": tenant.name}
                 for tenant in self.tenants]
 
-    def catalog_requests(self, count: int, stream_seed: int = 0,
-                         strategy: Optional[str] = None) -> List[Dict[str, Any]]:
+    def catalog_requests(self, count: int,
+                         stream_seed: int = 0) -> List[Dict[str, Any]]:
         """``count`` rewrite-by-fingerprint records (Zipf tenants).
 
         The catalog-scale traffic shape: every record carries
         ``catalog_fp`` instead of the tenant's views text, so the
         server must have replayed :meth:`catalog_registrations` (or a
-        coordinator must have broadcast them) first.  ``strategy``
-        optionally pins the rewriter on every record — how a
-        differential harness drives both strategies over one stream.
+        coordinator must have broadcast them) first.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -203,16 +201,13 @@ class TrafficGenerator:
         records: List[Dict[str, Any]] = []
         for serial in range(count):
             tenant = self.pick_tenant(rng)
-            record: Dict[str, Any] = {
+            records.append({
                 "id": f"{tenant.name}/rewrite-fp/{serial}",
                 "op": "rewrite",
                 "query": rng.choice(tenant.rewrite_queries),
                 "catalog_fp": self.tenant_catalog_fp(tenant),
                 **tenant.record_base(),
-            }
-            if strategy is not None:
-                record["strategy"] = strategy
-            records.append(record)
+            })
         return records
 
     def streams(self, stream_count: int, count_per_stream: int,

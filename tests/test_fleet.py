@@ -912,7 +912,7 @@ class TestFleetCatalogs:
                 fingerprint = put["result"]["fingerprint"]
             with ServiceClient(port=fleet.port) as user:
                 envelope = user.rewrite(QUERY, catalog_fp=fingerprint,
-                                        deps=DEPS_TEXT, strategy="bucketed")
+                                        deps=DEPS_TEXT)
                 assert envelope["ok"], envelope
                 assert envelope["node"] in ("node-0", "node-1")
                 assert envelope["result"]["strategy"] == "bucketed"

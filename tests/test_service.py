@@ -899,20 +899,23 @@ class TestCatalogService:
         assert not gone["ok"] and gone["error"]["kind"] == "protocol"
         assert "catalog.put" in gone["error"]["message"]
 
-    def test_per_record_strategy_selects_the_rewriter(self, served_pool):
+    def test_rewrite_records_are_answered_by_bucketed(self, served_pool):
         _, client, _ = served_pool
         put = client.catalog_put(VIEWS_TEXT, schema=SCHEMA_TEXT)
         fingerprint = put["result"]["fingerprint"]
-        for strategy in ("exhaustive", "bucketed"):
-            envelope = client.rewrite(QUERY_PRIME, catalog_fp=fingerprint,
-                                      schema=SCHEMA_TEXT, deps=DEPS_TEXT,
-                                      strategy=strategy)
-            assert envelope["ok"], strategy
-            assert envelope["result"]["strategy"] == strategy
-            assert envelope["result"]["rewritings"]
-        bad = client.rewrite(QUERY_PRIME, catalog_fp=fingerprint,
-                             schema=SCHEMA_TEXT, strategy="nope")
-        assert not bad["ok"] and bad["error"]["kind"] == "parse"
+        envelope = client.rewrite(QUERY_PRIME, catalog_fp=fingerprint,
+                                  schema=SCHEMA_TEXT, deps=DEPS_TEXT)
+        assert envelope["ok"], envelope
+        assert envelope["result"]["strategy"] == "bucketed"
+        assert envelope["result"]["rewritings"]
+        # A stray "strategy" field is an unlisted field like any other:
+        # ignored, not an error, and it selects nothing.
+        stray = client.request({"op": "rewrite", "query": QUERY_PRIME,
+                                "catalog_fp": fingerprint,
+                                "schema": SCHEMA_TEXT, "deps": DEPS_TEXT,
+                                "strategy": "exhaustive"})
+        assert stray["ok"], stray
+        assert stray["result"]["strategy"] == "bucketed"
 
     def test_catalog_traffic_replays_through_a_pool(self):
         traffic = TrafficGenerator(tenant_count=3, seed=11)
@@ -921,8 +924,7 @@ class TestCatalogService:
                 envelope = pool.submit(registration).result()
                 assert envelope["ok"], envelope
             assert pool.counters()["catalogs"] == 3
-            responses = pool.execute_all(
-                traffic.catalog_requests(12, strategy="bucketed"))
+            responses = pool.execute_all(traffic.catalog_requests(12))
             assert len(responses) == 12
             assert all(envelope["ok"] for envelope in responses)
             assert all(envelope["result"]["strategy"] == "bucketed"
