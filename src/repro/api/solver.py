@@ -63,6 +63,7 @@ from repro.containment.no_dependencies import contained_without_dependencies
 from repro.containment.result import ContainmentResult
 from repro.dependencies.dependency_set import DependencyClass, DependencySet
 from repro.exceptions import ReproError
+from repro.memo import bound_memo
 from repro.obs import probe as _probe
 from repro.obs.clock import monotonic
 from repro.obs.tracing import maybe_span
@@ -77,6 +78,9 @@ from repro.views.view import ViewCatalog
 #: Catalog indexes kept per solver (keyed by catalog fingerprint); small
 #: because one index serves every query over that catalog.
 _CATALOG_INDEX_CACHE_SIZE = 32
+
+#: Derived configs kept per solver (see :meth:`Solver.derive_config`).
+_DERIVED_CONFIG_MEMO_SIZE = 256
 
 
 @dataclass
@@ -137,11 +141,29 @@ class Solver:
         # derived structure, not an answer cache, so it stays out of
         # cache_info()/cache_stats() (tests pin that key set).
         self._catalog_indexes = LRUCache(_CATALOG_INDEX_CACHE_SIZE)
+        self._derived_configs: Dict[Tuple, SolverConfig] = {}
         self.stats = SolverStats()
 
     @property
     def config(self) -> SolverConfig:
         return self._config
+
+    def derive_config(self, **changes) -> SolverConfig:
+        """``self.config.derive(**changes)``, memoised per solver.
+
+        A service shard derives the same few variants of its config
+        (clamped budgets, a chase variant) on every request, and
+        ``dataclasses.replace`` re-validates every field each time.  The
+        overrides are client-chosen, so the memo is bounded by
+        :func:`~repro.memo.bound_memo`; an override the config refuses
+        raises and is not memoised.
+        """
+        key = tuple(changes.items())
+        config = self._derived_configs.get(key)
+        if config is None:
+            config = self._derived_configs[key] = self._config.derive(**changes)
+            bound_memo(self._derived_configs, _DERIVED_CONFIG_MEMO_SIZE)
+        return config
 
     @property
     def persistent_cache(self) -> Optional[CacheBackend]:

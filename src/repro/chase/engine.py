@@ -56,6 +56,7 @@ from repro.chase.registry import (
 )
 from repro.dependencies.dependency_set import DependencySet
 from repro.exceptions import ChaseError
+from repro.memo import WireMemo
 from repro.obs import probe as _probe
 from repro.obs.clock import monotonic
 from repro.obs.tracing import current_span, maybe_span
@@ -211,7 +212,7 @@ class ChaseStatistics:
 
 
 @dataclass
-class ChaseResult:
+class ChaseResult(WireMemo):
     """Outcome of a chase run.
 
     Results may be shared across calls by a solver's chase cache (the

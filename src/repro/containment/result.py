@@ -6,10 +6,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ContainmentUndecided
+from repro.memo import WireMemo
 
 
 @dataclass
-class ContainmentResult:
+class ContainmentResult(WireMemo):
     """Outcome of testing ``Σ ⊨ Q ⊆∞ Q'``.
 
     Results may be shared across calls by a solver's cross-call cache, so

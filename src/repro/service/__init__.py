@@ -12,7 +12,8 @@ The long-lived serving layer over :class:`~repro.api.solver.Solver`:
   socket, with bounded queues and admission control;
 * :class:`ServiceClient` — a blocking client for scripts and tests;
 * the protocol helpers (:func:`parse_line`, :func:`handle_record`,
-  :func:`shard_for`) shared by all of the above.
+  :func:`shard_for`, :func:`encode_envelope`) shared by all of the
+  above.
 
 Pair the pool with ``SolverConfig(persistent_cache_path=...)`` and
 restarts — and sibling worker processes — start warm from the shared
@@ -37,6 +38,7 @@ from repro.service.protocol import (
     ServiceOverloaded,
     TenantParser,
     answer_front,
+    encode_envelope,
     error_envelope,
     handle_record,
     make_worker_solver,
@@ -68,6 +70,7 @@ __all__ = [
     "SolverService",
     "TenantParser",
     "answer_front",
+    "encode_envelope",
     "error_envelope",
     "handle_record",
     "make_worker_solver",

@@ -53,13 +53,13 @@ from repro.api.fingerprints import (
 )
 from repro.api.requests import ChaseRequest, ContainmentRequest, RewriteRequest
 from repro.api.solver import Solver
-from repro.chase.engine import ChaseVariant
 from repro.containment.serialization import (
     chase_result_to_dict,
     containment_result_to_dict,
 )
 from repro.dependencies.dependency_set import DependencySet
 from repro.exceptions import ReproError
+from repro.memo import WireMemo, bound_memo
 from repro.obs import health as obs_health
 from repro.obs.metrics import get_registry
 from repro.obs.profiler import get_profiler
@@ -341,10 +341,9 @@ class TenantParser:
     raises and is not memoised, so every such request gets its own
     ``parse`` error.
 
-    Each memo holds at most ``max_entries`` objects: when one grows past
-    that, its oldest half is dropped (tenant counts are small; precise
-    LRU order is not worth the bookkeeping here).  ``query_parses``
-    counts the query texts actually parsed, i.e. the query-memo misses.
+    Each memo holds at most ``max_entries`` objects, bounded by
+    :func:`~repro.memo.bound_memo`.  ``query_parses`` counts the query
+    texts actually parsed, i.e. the query-memo misses.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -355,18 +354,11 @@ class TenantParser:
         self._queries: Dict[Tuple[str, str], Any] = {}
         self.query_parses = 0
 
-    def _bound(self, memo: Dict) -> None:
-        if len(memo) > self._max_entries:
-            # pop, not del: two threads sharing a parser may both bound
-            # the same memo, and the second must not fail on a gone key.
-            for key in list(memo)[: self._max_entries // 2]:
-                memo.pop(key, None)
-
     def schema(self, text: str):
         schema = self._schemas.get(text)
         if schema is None:
             schema = self._schemas[text] = parse_schema(text)
-            self._bound(self._schemas)
+            bound_memo(self._schemas, self._max_entries)
         return schema
 
     def dependencies(self, text: Optional[str], schema_text: str) -> DependencySet:
@@ -379,7 +371,7 @@ class TenantParser:
             else:
                 sigma = parse_dependencies(text, schema)
             self._dependencies[key] = sigma
-            self._bound(self._dependencies)
+            bound_memo(self._dependencies, self._max_entries)
         return sigma
 
     def catalog(self, text: str, schema_text: str):
@@ -387,7 +379,7 @@ class TenantParser:
         catalog = self._catalogs.get(key)
         if catalog is None:
             catalog = self._catalogs[key] = parse_views(text, self.schema(schema_text))
-            self._bound(self._catalogs)
+            bound_memo(self._catalogs, self._max_entries)
         return catalog
 
     def query(self, text: str, schema_text: str):
@@ -396,7 +388,7 @@ class TenantParser:
         if query is None:
             self.query_parses += 1
             query = self._queries[key] = parse_query(text, self.schema(schema_text))
-            self._bound(self._queries)
+            bound_memo(self._queries, self._max_entries)
         return query
 
 
@@ -445,12 +437,7 @@ class CatalogStore:
         with self._lock:
             replaced = fingerprint in self._entries
             self._entries[fingerprint] = entry
-            if len(self._entries) > self._max_entries:
-                # Same bounding policy as TenantParser: drop the oldest
-                # half (registration counts are small; precise LRU order
-                # is not worth the bookkeeping).
-                for key in list(self._entries)[: self._max_entries // 2]:
-                    del self._entries[key]
+            bound_memo(self._entries, self._max_entries)
         return dict(entry, replaced=replaced)
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
@@ -481,8 +468,36 @@ class CatalogStore:
 # ---------------------------------------------------------------------------
 
 
-def parse_line(line: str, coordinator: bool = False) -> Dict[str, Any]:
-    """One wire line → a validated record dict (op resolved and checked)."""
+class _ReadOnlyDict(dict):
+    """A dict that refuses in-place changes: it is shared, or trusted."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError(f"a {type(self).__name__} is read-only; copy it "
+                        "with dict(...) to change it")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+class ValidatedRecord(_ReadOnlyDict):
+    """A record :func:`validate_record` accepted, with ``op`` explicit.
+
+    Validating one again is a no-op, so a request that crosses server,
+    pool and shard is checked once; being read-only, it cannot change
+    after its check.  It pickles as itself, so a process shard trusts
+    what its pool checked.  A plain dict is always checked in full.
+    """
+
+    __slots__ = ()
+
+
+def decode_line(line: str) -> Dict[str, Any]:
+    """One wire line → the JSON object it carries, not yet validated."""
     stripped = line.strip()
     if not stripped:
         raise ProtocolError("protocol", "empty request line")
@@ -493,17 +508,27 @@ def parse_line(line: str, coordinator: bool = False) -> Dict[str, Any]:
     if not isinstance(record, dict):
         raise ProtocolError(
             "protocol", f"request must be a JSON object, got {type(record).__name__}")
-    return validate_record(record, coordinator)
+    return record
+
+
+def parse_line(line: str, coordinator: bool = False) -> ValidatedRecord:
+    """One wire line → a validated record (op resolved and checked)."""
+    return validate_record(decode_line(line), coordinator)
 
 
 def validate_record(record: Dict[str, Any],
-                    coordinator: bool = False) -> Dict[str, Any]:
+                    coordinator: bool = False) -> ValidatedRecord:
     """Check a record against its op's table entry.
 
-    Returns a copy with ``op`` made explicit.  A worker knows every op
-    except the coordinator-only ``fleet.*`` ones; ``coordinator=True``
-    accepts those too.
+    Returns a :class:`ValidatedRecord`, a copy with ``op`` made
+    explicit.  A worker knows every op except the coordinator-only
+    ``fleet.*`` ones; ``coordinator=True`` accepts those too.  A
+    validated record passed in is returned as it is, unless its op is
+    one this caller does not accept.
     """
+    if isinstance(record, ValidatedRecord) and (
+            coordinator or OPS[record["op"]].answered_by != "coordinator"):
+        return record
     spec = op_spec(record)
     if spec is None or (spec.answered_by == "coordinator" and not coordinator):
         accepted = tuple(name for name, entry in OPS.items()
@@ -517,7 +542,7 @@ def validate_record(record: Dict[str, Any],
         raise ProtocolError(
             "protocol",
             f"op {spec.name!r} requires one of the fields {spec.one_of}")
-    return dict(record, op=spec.name)
+    return ValidatedRecord(record, op=spec.name)
 
 
 def _check_fields(op: str, record: Dict[str, Any], fields: Tuple[Field, ...],
@@ -530,8 +555,8 @@ def _check_fields(op: str, record: Dict[str, Any], fields: Tuple[Field, ...],
                     "protocol",
                     f"op {op!r} requires a {prefix + field.name!r} field")
             continue
-        # field.accepts, inlined: a request is validated up to three
-        # times (server, pool, shard), and most fields are plain strings.
+        # field.accepts, inlined: this runs for every field of every
+        # request a front end receives, and most fields are plain strings.
         if not isinstance(value, field.types) or (
                 field.check is not None and not field.check(value)):
             raise ProtocolError(
@@ -649,10 +674,11 @@ def resolve_catalog_record(record: Dict[str, Any],
             "protocol",
             f"unknown catalog fingerprint {fingerprint!r}; register the "
             "catalog with catalog.put first")
-    resolved = dict(record, views=entry["views_text"])
-    if resolved.get("schema") is None:
-        resolved["schema"] = entry["schema_text"]
-    return resolved
+    texts = {"views": entry["views_text"]}
+    if record.get("schema") is None:
+        texts["schema"] = entry["schema_text"]
+    # Both texts are strings, so a validated record stays valid.
+    return type(record)(record, **texts)
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +748,52 @@ def failure_envelope(identifier: Optional[Any], error: Exception,
                           f"{type(error).__name__}: {error}", shard)
 
 
+#: ``json.dumps(value, sort_keys=True, default=str)``, built once: every
+#: envelope line is this encoder's output.
+_ENCODE = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+class Payload(_ReadOnlyDict):
+    """A result payload rendered once, carrying its own JSON text.
+
+    The service memoises one on each cached result it answers from
+    (:func:`_memoised`), and every envelope answered from that result
+    shares it, so it is read-only.  ``text`` is ``json.dumps(payload,
+    sort_keys=True, default=str)``, which :func:`encode_envelope`
+    splices into each envelope line instead of encoding the payload
+    again.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, payload: Dict[str, Any], text: Optional[str] = None):
+        super().__init__(payload)
+        self.text = _ENCODE(payload) if text is None else text
+
+    def __reduce__(self):
+        return Payload, (dict(self), self.text)
+
+
+def encode_envelope(envelope: Dict[str, Any]) -> bytes:
+    """One envelope → its wire line, for every front end.
+
+    Byte-identical to ``json.dumps(envelope, sort_keys=True,
+    default=str) + "\\n"``; a :class:`Payload` result is not encoded
+    again, its text goes between the keys sorting before and after
+    ``"result"``.
+    """
+    result = envelope.get("result")
+    if not isinstance(result, Payload):
+        return (_ENCODE(envelope) + "\n").encode("utf-8")
+    head = _ENCODE({key: value for key, value in envelope.items()
+                    if key < "result"})
+    tail = _ENCODE({key: value for key, value in envelope.items()
+                    if key > "result"})
+    head = head[:-1] + ", " if len(head) > 2 else "{"
+    tail = ", " + tail[1:] if len(tail) > 2 else "}"
+    return (head + '"result": ' + result.text + tail + "\n").encode("utf-8")
+
+
 def success_envelope(record: Dict[str, Any], result: Dict[str, Any],
                      elapsed_s: float = 0.0, cache_hit: Optional[bool] = None,
                      shard: Optional[int] = None) -> Dict[str, Any]:
@@ -749,7 +821,14 @@ def handle_record(record: Dict[str, Any], solver: Solver,
                   limits: ServiceLimits = ServiceLimits(),
                   parser: Optional[TenantParser] = None,
                   shard: Optional[int] = None) -> Dict[str, Any]:
-    """Execute one validated record against a shard's solver.
+    """Execute one record against a shard's solver.
+
+    A plain dict is validated in full first; a :class:`ValidatedRecord`
+    (from :func:`parse_line` or a pool front end) is not checked again.
+    Either way this re-checks what the table cannot: that a shard, not
+    a front end, answers the op, that the tenant texts parse, and that a
+    rewrite names its views rather than an unresolved ``catalog_fp``;
+    client budgets are clamped to ``limits``.
 
     Never raises: every failure — unparsable tenant text, budget abuse,
     an unexpected engine error — becomes an error envelope, because on
@@ -839,26 +918,31 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
         # very deep cannot monopolise a shard.
         max_level = min(record.get("max_level") or limits.max_level,
                         limits.max_level)
-        config = solver.config.derive(max_conjuncts=max_conjuncts,
+        config = solver.derive_config(max_conjuncts=max_conjuncts,
                                       saturation_level_cap=max_level)
         response = solver.solve(ContainmentRequest(
             query, query_prime, sigma, config=config, tag=record.get("id")))
-        result = containment_result_to_dict(response.result)
-        result["budget"] = response.budget.as_dict()
+        budget = response.budget
+        result = _memoised(response.result, budget, lambda: dict(
+            containment_result_to_dict(response.result),
+            budget=budget.as_dict()))
         return success_envelope(record, result, response.elapsed_s,
                                  response.cache_hit, shard)
 
     if op == "chase":
         max_level = min(record.get("max_level") or limits.max_level,
                         limits.max_level)
-        variant = ChaseVariant(record.get("variant") or "R")
-        config = solver.config.derive(variant=variant,
+        # The config turns the "R"/"O" shorthand into a ChaseVariant.
+        config = solver.derive_config(variant=record.get("variant") or "R",
                                       chase_max_conjuncts=max_conjuncts)
         response = solver.solve(ChaseRequest(
             query, sigma, max_level=max_level, config=config,
             tag=record.get("id")))
-        result = chase_result_to_dict(response.result,
-                                      include_trace=bool(record.get("trace")))
+        if record.get("trace"):
+            result = chase_result_to_dict(response.result, include_trace=True)
+        else:
+            result = _memoised(response.result, None,
+                               lambda: chase_result_to_dict(response.result))
         return success_envelope(record, result, response.elapsed_s,
                                  response.cache_hit, shard)
 
@@ -874,12 +958,29 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
             "resolved here; route rewrite-by-fingerprint records through a "
             "pool or coordinator front end")
     catalog = parser.catalog(views_text, schema_text)
-    config = solver.config.derive(max_conjuncts=max_conjuncts)
+    config = solver.derive_config(max_conjuncts=max_conjuncts)
     response = solver.solve(RewriteRequest(
         query, catalog, sigma, config=config, tag=record.get("id")))
-    result = response.report.as_dict()
+    result = _memoised(response.report, None, response.report.as_dict)
     return success_envelope(record, result, response.elapsed_s,
                              response.cache_hit, shard)
+
+
+def _memoised(owner: WireMemo, key: Any,
+              render: Callable[[], Dict[str, Any]]) -> Payload:
+    """The payload memoised on a result for ``key``; rendered on a miss.
+
+    A warm request is answered by the very object a solver cache holds,
+    so its payload and JSON text are rendered once per (object, key).
+    The key is whatever else the payload reads: a containment answer's
+    budget, which depends on the request's clamped conjunct budget.
+    """
+    memo = owner._wire_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    payload = Payload(render())
+    owner._wire_memo = (key, payload)
+    return payload
 
 
 def make_worker_solver(config: Optional[SolverConfig] = None,

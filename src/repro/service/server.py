@@ -33,13 +33,15 @@ from repro.obs.clock import Stopwatch
 from repro.obs.tracing import get_tracer, new_trace_id
 from repro.service.pool import ShardedSolverPool
 from repro.service.protocol import (
-    OPS,
     STREAM_LIMIT,
     ProtocolError,
     ServiceOverloaded,
+    decode_line,
+    encode_envelope,
     failure_envelope,
-    parse_line,
+    op_spec,
     success_envelope,
+    validate_record,
 )
 
 
@@ -66,8 +68,7 @@ async def serve_connection(answer: Callable[[str], Awaitable[Dict[str, Any]]],
                 # correlate the rejection with its request.
                 envelope = failure_envelope(
                     _peek_id(line.decode("utf-8", errors="replace")), error)
-            writer.write(json.dumps(envelope, sort_keys=True,
-                                    default=str).encode("utf-8") + b"\n")
+            writer.write(encode_envelope(envelope))
             await writer.drain()
     except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
         pass
@@ -161,13 +162,17 @@ class SolverService:
     # -- answering one request ------------------------------------------------
 
     async def _answer(self, line: str) -> Dict[str, Any]:
-        record = parse_line(line)
-        spec = OPS[record["op"]]
-        if (spec.traced and record.get("trace_context") is None
+        record = decode_line(line)
+        spec = op_spec(record)
+        if (spec is not None and spec.traced
+                and record.get("trace_context") is None
                 and get_tracer().enabled):
             # An untraced data-plane request still gets a server-minted
             # trace, so obs.trace / the slow-op log cover all traffic.
+            # It is minted before validation: a validated record is
+            # never changed.
             record["trace_context"] = {"id": new_trace_id()}
+        record = validate_record(record)
         if (spec.sheddable and self._max_pending is not None
                 and self._in_flight >= self._max_pending):
             raise ServiceOverloaded(

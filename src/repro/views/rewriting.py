@@ -49,6 +49,7 @@ from repro.exceptions import QueryError, ViewError
 from repro.homomorphism.problem import HomomorphismProblem
 from repro.homomorphism.query_homomorphism import build_target_index
 from repro.homomorphism.search import iter_homomorphisms
+from repro.memo import WireMemo
 from repro.obs import probe as _probe
 from repro.obs.clock import Stopwatch
 from repro.queries.conjunct import Conjunct
@@ -114,7 +115,7 @@ class Rewriting:
 
 
 @dataclass
-class RewriteReport:
+class RewriteReport(WireMemo):
     """The outcome of one chase & backchase search.
 
     ``rewritings`` holds every certified rewriting, best cost first.

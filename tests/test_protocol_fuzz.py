@@ -15,11 +15,14 @@ driven over real sockets:
 Whatever the record, exactly one JSON object comes back within the
 client timeout, it echoes the ``id``, ``ok`` is a bool, and a failure
 carries a known error kind that is never ``internal``.  A value the
-table's check refuses is never answered ``ok``.
+table's check refuses is never answered ``ok``.  Every envelope the
+pool answers for the corpus encodes, through ``encode_envelope``, to
+the same bytes as ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -33,6 +36,7 @@ from repro.service import (
     ServiceClient,
     ShardedSolverPool,
     SolverService,
+    encode_envelope,
 )
 
 SCHEMA_TEXT = "EMP(emp, sal, dept)\nDEP(dept, loc)"
@@ -282,3 +286,23 @@ def test_unknown_ops_get_one_well_formed_envelope(fronts, front, data):
         envelope = exchange(fronts.clients[front], record)
         assert_well_formed(envelope, record)
         assert not envelope["ok"]
+
+
+# ---------------------------------------------------------------------------
+# The envelope encoder over the corpus
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", [op for op, spec in OPS.items()
+                                if spec.answered_by != "coordinator"])
+def test_every_corpus_envelope_encodes_like_json_dumps(fronts, op):
+    for mutation in mutations(OPS[op]):
+        record = valid_record(op, fronts.node_address)
+        if mutation is not None:
+            path, _, value = mutation
+            record = mutated(record, path, value)
+        for context in (MISSING, {"id": "fuzz-trace", "collect": True}):
+            envelope = fronts.pool.execute(
+                decorate(dict(record), f"{op}-enc", MISSING, context))
+            assert encode_envelope(envelope) == json.dumps(
+                envelope, sort_keys=True, default=str).encode() + b"\n"

@@ -929,3 +929,395 @@ class TestCatalogService:
             assert all(envelope["ok"] for envelope in responses)
             assert all(envelope["result"]["strategy"] == "bucketed"
                        for envelope in responses)
+
+
+# ---------------------------------------------------------------------------
+# Warm hits: the envelope encoder, the payload and config memos, and
+# validating each record once
+# ---------------------------------------------------------------------------
+
+
+def as_json_line(envelope):
+    """What every front end wrote before ``encode_envelope`` existed."""
+    return json.dumps(envelope, sort_keys=True, default=str).encode() + b"\n"
+
+
+def chase_record(**overrides):
+    record = {"op": "chase", "id": "c1", "query": QUERY, "schema": SCHEMA_TEXT,
+              "deps": DEPS_TEXT, "max_level": 3}
+    record.update(overrides)
+    return record
+
+
+def rewrite_record(**overrides):
+    record = {"op": "rewrite", "id": "r1", "query": QUERY_PRIME,
+              "views": VIEWS_TEXT, "schema": SCHEMA_TEXT, "deps": DEPS_TEXT}
+    record.update(overrides)
+    return record
+
+
+DATA_PLANE_RECORDS = {"contain": contain_record, "chase": chase_record,
+                      "rewrite": rewrite_record}
+
+
+def every_op_record(fingerprint):
+    """One valid record per op a pool answers (no coordinator ops)."""
+    return [
+        contain_record(id="contain"), chase_record(id="chase"),
+        rewrite_record(id="rewrite"),
+        {"op": "rewrite", "id": "by-fp", "query": QUERY_PRIME,
+         "catalog_fp": fingerprint, "deps": DEPS_TEXT},
+        {"op": "stats", "id": 7}, {"op": "ping", "id": None},
+        {"op": "catalog.put", "views": VIEWS_TEXT, "schema": SCHEMA_TEXT},
+        {"op": "catalog.list", "id": ["a", 1]},
+        {"op": "catalog.drop", "catalog_fp": "0" * 64},
+        {"op": "obs.metrics"}, {"op": "obs.metrics", "format": "prometheus"},
+        {"op": "obs.trace", "limit": 2}, {"op": "obs.health"},
+        {"op": "obs.profile"},
+    ]
+
+
+def without_timings(envelope):
+    """An envelope minus the wall-clock fields that differ run to run."""
+    envelope = dict(envelope)
+    envelope.pop("elapsed_s", None)
+    if isinstance(envelope.get("result"), dict):
+        envelope["result"] = dict(envelope["result"])
+        envelope["result"].pop("stage_timings", None)
+    return envelope
+
+
+class TestEncodeEnvelope:
+    def test_every_op_encodes_like_json_dumps_fresh_and_memoised(self):
+        with ShardedSolverPool(shard_count=2, mode="inline") as pool:
+            fingerprint = pool.execute({
+                "op": "catalog.put", "views": VIEWS_TEXT,
+                "schema": SCHEMA_TEXT})["result"]["fingerprint"]
+            fresh = [pool.execute(record)
+                     for record in every_op_record(fingerprint)]
+            warm = [pool.execute(record)
+                    for record in every_op_record(fingerprint)]
+        for first, second in zip(fresh, warm):
+            assert first["ok"] and second["ok"], (first, second)
+            for envelope in (first, second):
+                assert protocol.encode_envelope(envelope) == as_json_line(
+                    envelope)
+            if first["op"] in DATA_PLANE_RECORDS:
+                # The warm answer is the memoised payload itself.
+                assert second["cache_hit"]
+                assert isinstance(second["result"], protocol.Payload)
+                assert second["result"] is first["result"]
+        assert not any(envelope["cache_hit"] for envelope in fresh[:3])
+        assert {envelope["op"] for envelope in warm} == {
+            op for op, spec in protocol.OPS.items()
+            if spec.answered_by != "coordinator"}
+
+    def test_failure_envelopes_encode_like_json_dumps(self):
+        solver = Solver()
+        envelopes = [
+            handle_record(contain_record(max_conjuncts=-1), solver),
+            handle_record(contain_record(query="Q(e) :- NOPE(e"), solver),
+            handle_record({"op": "catalog.put", "views": VIEWS_TEXT}, solver),
+            handle_record({"op": "rewrite", "query": QUERY,
+                           "catalog_fp": "abc", "schema": SCHEMA_TEXT},
+                          solver),
+            protocol.failure_envelope("x", ValueError("boom"), shard=1),
+            protocol.error_envelope({"nested": [1, 2]}, "overloaded", "busy"),
+        ]
+        for envelope in envelopes:
+            assert not envelope["ok"]
+            assert protocol.encode_envelope(envelope) == as_json_line(envelope)
+
+    @pytest.mark.parametrize("op", sorted(DATA_PLANE_RECORDS))
+    def test_traced_envelopes_encode_like_json_dumps(self, op):
+        solver = Solver()
+        for _ in range(2):  # fresh, then memoised
+            record = DATA_PLANE_RECORDS[op](trace_context={
+                "id": new_trace_id(), "collect": True})
+            envelope = handle_record(record, solver, shard=0)
+            assert envelope["ok"] and envelope["trace_id"] and envelope["spans"]
+            assert protocol.encode_envelope(envelope) == as_json_line(envelope)
+
+    @pytest.mark.parametrize("envelope", [
+        {"result": {"b": 1, "a": [2.5, None]}},
+        {"ok": True, "result": {}},
+        {"result": {"x": "é\n"}, "zz": {"result": 1}},
+        {"id": '", "result": null, "x": "', "result": {"a": 1},
+         "spans": [{"result": "s"}], "trace_id": "t"},
+        {"id": {"result": {"k": 1}}, "op": "contain", "result": {"z": 0}},
+        {"cache_hit": True, "result": {"object": object.__name__},
+         "shard": 3, "elapsed_s": 1e-7},
+    ])
+    def test_spliced_payload_keeps_key_order_and_escaping(self, envelope):
+        spliced = dict(envelope, result=protocol.Payload(envelope["result"]))
+        assert protocol.encode_envelope(spliced) == as_json_line(envelope)
+        assert protocol.encode_envelope(spliced) == as_json_line(spliced)
+
+    def test_payload_keeps_its_text_across_a_pickle(self):
+        envelope = handle_record(contain_record(), Solver())
+        loaded = pickle.loads(pickle.dumps(envelope))
+        assert isinstance(loaded["result"], protocol.Payload)
+        assert loaded["result"].text == envelope["result"].text
+        assert loaded == envelope
+        assert protocol.encode_envelope(loaded) == as_json_line(envelope)
+
+
+class TestWarmHitMemo:
+    @pytest.mark.parametrize("op", sorted(DATA_PLANE_RECORDS))
+    def test_warm_reply_equals_the_memo_bypassed_reply(self, op, monkeypatch):
+        solver, parser = Solver(), TenantParser()
+        record = DATA_PLANE_RECORDS[op]()
+        cold = handle_record(record, solver, parser=parser)
+        warm = handle_record(record, solver, parser=parser)
+        monkeypatch.setattr(protocol, "_memoised",
+                            lambda owner, key, render: render())
+        monkeypatch.setattr(Solver, "derive_config",
+                            lambda self, **changes: self.config.derive(**changes))
+        bypassed = handle_record(record, solver, parser=parser)
+        assert not isinstance(bypassed["result"], protocol.Payload)
+        assert warm["cache_hit"] and bypassed["cache_hit"]
+        # The same cached result underlies all three, so even the rewrite
+        # stage timings agree; only the envelope's own elapsed_s moves.
+        for envelope in (cold, warm):
+            assert {**envelope, "elapsed_s": 0, "cache_hit": True} == {
+                **bypassed, "elapsed_s": 0}
+
+    def test_traced_chase_is_rendered_fresh_not_from_the_memo(self):
+        solver = Solver()
+        plain = handle_record(chase_record(), solver)
+        traced = [handle_record(chase_record(trace=True), solver)
+                  for _ in range(2)]
+        again = handle_record(chase_record(), solver)
+        assert again["result"] is plain["result"]
+        assert "trace" not in plain["result"]
+        assert traced[0]["result"] is not traced[1]["result"]
+        for envelope in traced:
+            assert envelope["cache_hit"]
+            assert not isinstance(envelope["result"], protocol.Payload)
+            assert envelope["result"]["trace"]
+            assert {**envelope["result"], "trace": None} == {
+                **plain["result"], "trace": None}
+            assert protocol.encode_envelope(envelope) == as_json_line(envelope)
+
+    def test_memo_is_rerendered_for_another_key(self):
+        calls = []
+
+        class Owner(protocol.WireMemo):
+            pass
+
+        owner = Owner()
+
+        def render():
+            calls.append(1)
+            return {"n": len(calls)}
+
+        first = protocol._memoised(owner, 1, render)
+        assert protocol._memoised(owner, 1, render) is first
+        second = protocol._memoised(owner, 2, render)
+        assert second == {"n": 2} and len(calls) == 2
+
+    def test_derived_config_memo_stays_within_its_bound(self):
+        solver = Solver()
+        bound = sys.modules[Solver.__module__]._DERIVED_CONFIG_MEMO_SIZE
+        for budget in range(1, 5001):
+            envelope = handle_record(
+                contain_record(deps="", max_conjuncts=budget), solver)
+            assert envelope["ok"], envelope
+            assert len(solver._derived_configs) <= bound
+            assert envelope["result"]["budget"]["max_conjuncts"] == budget
+        # An evicted override derives again, equal to a fresh derivation.
+        assert solver.derive_config(max_conjuncts=1) == solver.config.derive(
+            max_conjuncts=1)
+
+    def test_shared_solver_survives_concurrent_warm_hits(self):
+        # Threads sharing one solver race on the derived-config memo (its
+        # bound churns: more budgets than it holds) and on the payload
+        # memos; every reply must still carry its own request's budget
+        # and encode like json.dumps.
+        solver, parser = Solver(), TenantParser()
+        budgets = range(1, 400)
+        errors = []
+
+        def hammer(offset):
+            try:
+                for index in range(150):
+                    budget = budgets[(offset * 37 + index) % len(budgets)]
+                    envelope = handle_record(
+                        contain_record(deps="", max_conjuncts=budget),
+                        solver, parser=parser)
+                    assert envelope["ok"], envelope
+                    assert envelope["result"]["budget"]["max_conjuncts"] == budget
+                    assert protocol.encode_envelope(envelope) == as_json_line(
+                        envelope)
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(offset,))
+                       for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        bound = sys.modules[Solver.__module__]._DERIVED_CONFIG_MEMO_SIZE
+        assert len(solver._derived_configs) <= bound
+
+    def test_refused_override_is_not_memoised(self):
+        solver = Solver()
+        from repro.exceptions import ReproError
+        for _ in range(2):
+            with pytest.raises(ReproError):
+                solver.derive_config(max_conjuncts=0)
+        assert solver._derived_configs == {}
+
+
+class TestValidateOnce:
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = []
+        original = protocol._check_fields
+
+        def check_fields(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "_check_fields", check_fields)
+        return calls
+
+    @pytest.mark.parametrize("validate", [
+        lambda record: validate_record(record),
+        lambda record: parse_line(json.dumps(record)),
+    ])
+    def test_revalidating_a_validated_record_checks_nothing(self, counted,
+                                                            validate):
+        record = validate(contain_record(
+            trace_context={"id": "t", "parent": "p"}))
+        assert isinstance(record, protocol.ValidatedRecord) and counted
+        counted.clear()
+        assert validate_record(record) is record
+        solver = Solver()
+        assert handle_record(record, solver)["ok"]
+        with ShardedSolverPool(shard_count=2, mode="inline") as pool:
+            assert pool.execute(record)["ok"]
+        assert counted == []
+
+    @pytest.mark.parametrize("overrides, kind", [
+        ({"max_conjuncts": -1}, "budget"),
+        ({"max_level": 0}, "budget"),
+        ({"query": 5}, "protocol"),
+        ({"trace_context": {"id": 7}}, "protocol"),
+    ])
+    def test_plain_dicts_are_still_fully_checked(self, overrides, kind,
+                                                 counted):
+        envelope = handle_record(contain_record(**overrides), Solver())
+        assert not envelope["ok"] and envelope["error"]["kind"] == kind
+        assert counted
+
+    def test_validated_record_is_read_only(self):
+        record = validate_record(contain_record())
+        for mutate in (lambda: record.__setitem__("max_conjuncts", -1),
+                       lambda: record.update(max_conjuncts=-1),
+                       lambda: record.pop("query"),
+                       lambda: record.setdefault("deps", 5),
+                       lambda: record.__delitem__("query"),
+                       record.clear, record.popitem):
+            with pytest.raises(TypeError):
+                mutate()
+        copy = dict(record, max_conjuncts=-1)
+        assert type(copy) is dict
+        with pytest.raises(ProtocolError):
+            validate_record(copy)
+
+    def test_coordinator_validated_records_are_rechecked_at_a_worker(self):
+        record = validate_record({"op": "fleet.status"}, coordinator=True)
+        assert validate_record(record, coordinator=True) is record
+        with pytest.raises(ProtocolError, match="unknown op"):
+            validate_record(record)
+
+    def test_catalog_resolution_keeps_the_record_validated(self, counted):
+        store, parser = protocol.CatalogStore(), TenantParser()
+        fingerprint = store.put(VIEWS_TEXT, SCHEMA_TEXT, parser)["fingerprint"]
+        record = validate_record({"op": "rewrite", "query": QUERY_PRIME,
+                                  "catalog_fp": fingerprint})
+        counted.clear()
+        resolved = protocol.resolve_catalog_record(record, store)
+        assert isinstance(resolved, protocol.ValidatedRecord)
+        assert resolved["views"] == VIEWS_TEXT
+        assert resolved["schema"] == SCHEMA_TEXT
+        assert validate_record(resolved) is resolved and counted == []
+        plain = protocol.resolve_catalog_record(dict(record), store)
+        assert type(plain) is dict and plain == resolved
+
+    def test_validated_record_pickles_as_itself(self):
+        record = validate_record(contain_record())
+        loaded = pickle.loads(pickle.dumps(record))
+        assert type(loaded) is protocol.ValidatedRecord and loaded == record
+
+
+class TestProcessAndPersistenceParity:
+    def test_process_shards_answer_warm_traffic_like_thread_shards(self):
+        stream = TrafficGenerator(tenant_count=8, seed=0).requests(
+            300, stream_seed=0)
+        answers = {}
+        for mode in ("thread", "process"):
+            with ShardedSolverPool(shard_count=2, mode=mode) as pool:
+                pool.execute_all(stream)
+                answers[mode] = pool.execute_all(stream)
+        for threaded, processed in zip(answers["thread"], answers["process"]):
+            assert threaded["ok"] and threaded["cache_hit"], threaded
+            assert isinstance(processed["result"], protocol.Payload)
+            assert without_timings(processed) == without_timings(threaded)
+            # The payload text crossed the process boundary with it.
+            assert protocol.encode_envelope(processed) == as_json_line(
+                processed)
+
+    def test_wire_memos_never_reach_a_persistent_pickle(self, tmp_path):
+        store = PersistentCache(str(tmp_path / "memo.sqlite"))
+        solver = Solver(persistent_cache=store)
+        for make in DATA_PLANE_RECORDS.values():
+            handle_record(make(), solver)
+            handle_record(make(), solver)
+        results = [entry for cache in (solver._containment_cache,
+                                       solver._chase_cache,
+                                       solver._rewrite_cache)
+                   for entry in cache._data.values() if entry._wire_memo]
+        assert {type(result).__name__ for result in results} == {
+            "ContainmentResult", "ChaseResult", "RewriteReport"}
+        for result in results:
+            assert b"_wire_memo" not in pickle.dumps(result)
+            store.put("chase", ("memo", id(result)), result)
+        rows = store._connection.execute("SELECT value FROM entries").fetchall()
+        assert rows and not any(b"_wire_memo" in bytes(row[0]) for row in rows)
+        for result in results:
+            loaded = store.get("chase", ("memo", id(result)))
+            assert loaded._wire_memo is None and type(loaded) is type(result)
+            assert set(vars(loaded)) == set(vars(result)) - {"_wire_memo"}
+        store.close()
+
+    def test_value_pickled_before_the_memo_existed_loads_and_serves(
+            self, tmp_path, monkeypatch):
+        # Stores written before the memo slot existed pickled a result's
+        # whole __dict__; such a value must load and answer over the
+        # wire, so PERSISTENT_FORMAT_VERSION stays 1.
+        from repro.api.persistent import PERSISTENT_FORMAT_VERSION
+        from repro.memo import WireMemo
+        path = str(tmp_path / "old.sqlite")
+        config = SolverConfig(persistent_cache_path=path)
+        with monkeypatch.context() as old_pickling:
+            old_pickling.delattr(WireMemo, "__getstate__")
+            writer = Solver(config)
+            fresh = handle_record(contain_record(), writer)
+            writer.close()
+        reader = Solver(config)
+        warm = handle_record(contain_record(), reader)
+        reader.close()
+        assert PERSISTENT_FORMAT_VERSION == 1
+        assert warm["cache_hit"]
+        assert without_timings({**warm, "cache_hit": False}) == without_timings(
+            fresh)
