@@ -6,6 +6,11 @@ map.  Keys are the canonical fingerprints computed in
 :mod:`repro.api.fingerprints`; values are the (immutable-by-convention)
 result objects, which are returned to every caller without copying — the
 engine never mutates a result after constructing it.
+
+A **memory-only** lookup is a probe that must not leave a trace when it
+misses: it raises :class:`MemoryMiss` instead of counting a miss, so the
+caller can retry on a path that may compute, and that path counts the
+one real miss.
 """
 
 from __future__ import annotations
@@ -14,6 +19,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable
+
+from repro.obs.tracing import AbandonTrace
+
+
+class MemoryMiss(AbandonTrace):
+    """A memory-only lookup found nothing; nothing was counted or computed.
+
+    It abandons any trace it unwinds, so the retry records the trace.
+    """
 
 
 @dataclass
@@ -61,11 +75,17 @@ class LRUCache:
         with self._lock:
             return len(self._data)
 
-    def get(self, key: Hashable) -> Any:
-        """The cached value, or ``None`` on a miss (counters updated)."""
+    def get(self, key: Hashable, memory_only: bool = False) -> Any:
+        """The cached value, or ``None`` on a miss (counters updated).
+
+        With ``memory_only`` a miss raises :class:`MemoryMiss` and
+        counts nothing; a hit counts as usual.
+        """
         with self._lock:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
+                if memory_only:
+                    raise MemoryMiss()
                 self._misses += 1
                 return None
             self._data.move_to_end(key)

@@ -18,6 +18,12 @@ Work is submitted either through the typed request objects
 convenience methods (:meth:`Solver.is_contained`, :meth:`Solver.chase`,
 :meth:`Solver.optimize`, :meth:`Solver.minimize_under`), which the old
 module-level functions now delegate to.
+
+:meth:`Solver.solve` also has a **memory-only** mode for callers that
+must not wait on a chase (a service front end answering warm hits on
+its own thread): it answers from the in-memory caches or raises
+:class:`~repro.api.cache.MemoryMiss` having counted, computed and read
+from disk nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.backend import CacheBackend, backend_stats
-from repro.api.cache import CacheInfo, LRUCache
+from repro.api.cache import CacheInfo, LRUCache, MemoryMiss
 from repro.api.config import SolverConfig
 from repro.api.persistent import PersistentCache
 from repro.api.fingerprints import (
@@ -297,9 +303,12 @@ class Solver:
         return value, False
 
     def _cached_chase(self, query: ConjunctiveQuery,
-                      dependencies: DependencySet,
-                      config: ChaseConfig) -> Tuple[ChaseResult, bool]:
-        if self._chase_cache.maxsize == 0 and self._persistent is None:
+                      dependencies: DependencySet, config: ChaseConfig,
+                      memory_only: bool = False) -> Tuple[ChaseResult, bool]:
+        # A memory-only probe goes on to the (possibly empty) LRU, which
+        # raises MemoryMiss on a miss.
+        if (not memory_only and self._chase_cache.maxsize == 0
+                and self._persistent is None):
             return build_engine(query, dependencies, config).run(), False
         # The display name rides along because ChaseResult.query (and the
         # reports derived from it) surface it; content fingerprints alone
@@ -318,7 +327,7 @@ class Solver:
             resolve_engine_name(config.engine),
         )
         with maybe_span("cache.lookup", cache="chase") as span:
-            cached = self._chase_cache.get(key)
+            cached = self._chase_cache.get(key, memory_only)
             if span is not None:
                 span.tags["hit"] = cached is not None
         if cached is not None:
@@ -352,9 +361,10 @@ class Solver:
         return result
 
     def _decide(self, query: ConjunctiveQuery, query_prime: ConjunctiveQuery,
-                dependencies: Optional[DependencySet],
-                config: SolverConfig) -> Tuple[ContainmentResult, bool]:
-        self.stats.count("containment_requests")
+                dependencies: Optional[DependencySet], config: SolverConfig,
+                memory_only: bool = False) -> Tuple[ContainmentResult, bool]:
+        if not memory_only:
+            self.stats.count("containment_requests")
         sigma = dependencies if dependencies is not None else DependencySet()
         # Results carrying certificates are never cached: certificates are
         # standalone artifacts a caller may legitimately mutate (tampering
@@ -363,6 +373,8 @@ class Solver:
         cacheable = (not config.with_certificate
                      and (self._containment_cache.maxsize > 0
                           or self._persistent is not None))
+        if memory_only and not cacheable:
+            raise MemoryMiss()
         key = (
             (query.name, query_fingerprint(query)),
             (query_prime.name, query_fingerprint(query_prime)),
@@ -371,10 +383,12 @@ class Solver:
         ) if cacheable else None
         if cacheable:
             with maybe_span("cache.lookup", cache="containment") as span:
-                cached = self._containment_cache.get(key)
+                cached = self._containment_cache.get(key, memory_only)
                 if span is not None:
                     span.tags["hit"] = cached is not None
             if cached is not None:
+                if memory_only:  # counted only once the probe has hit
+                    self.stats.count("containment_requests")
                 return cached, True
 
         def compute() -> ContainmentResult:
@@ -496,9 +510,10 @@ class Solver:
 
     def _cached_rewrite(self, query: ConjunctiveQuery, catalog: ViewCatalog,
                         dependencies: Optional[DependencySet],
-                        cost_model: Optional[CostModel],
-                        config: SolverConfig) -> Tuple[RewriteReport, bool]:
-        self.stats.count("rewrite_requests")
+                        cost_model: Optional[CostModel], config: SolverConfig,
+                        memory_only: bool = False) -> Tuple[RewriteReport, bool]:
+        if not memory_only:
+            self.stats.count("rewrite_requests")
         sigma = dependencies if dependencies is not None else DependencySet()
         # Mirrors _decide: certificate-bearing results are never cached
         # (the report's rewritings embed both directions' containment
@@ -509,6 +524,8 @@ class Solver:
                      and not config.with_certificate
                      and (self._rewrite_cache.maxsize > 0
                           or self._persistent is not None))
+        if memory_only and not cacheable:
+            raise MemoryMiss()
         key = (
             (query.name, query_fingerprint(query)),
             catalog_fingerprint(catalog),
@@ -516,8 +533,10 @@ class Solver:
             config.rewrite_key(),
         ) if cacheable else None
         if cacheable:
-            cached = self._rewrite_cache.get(key)
+            cached = self._rewrite_cache.get(key, memory_only)
             if cached is not None:
+                if memory_only:
+                    self.stats.count("rewrite_requests")
                 return cached, True
 
         def compute() -> RewriteReport:
@@ -552,16 +571,28 @@ class Solver:
 
     # -- the request/response surface ----------------------------------------
 
-    def solve(self, request: SolveRequest) -> SolveResponse:
-        """Execute one typed request and return its enriched response."""
+    def solve(self, request: SolveRequest,
+              memory_only: bool = False) -> SolveResponse:
+        """Execute one typed request and return its enriched response.
+
+        With ``memory_only`` the request is answered from the in-memory
+        caches or not at all: a miss raises :class:`MemoryMiss` before
+        any counter, probe metric or persistent store is touched, and
+        before anything is computed.  A hit counts exactly what the
+        same hit counts without the flag.  ``optimize`` and requests
+        whose results are never cached (certificates, caches of size 0)
+        always miss.
+        """
         if isinstance(request, ContainmentRequest):
-            op, response = "contain", self._solve_containment(request)
+            op, response = "contain", self._solve_containment(request, memory_only)
         elif isinstance(request, ChaseRequest):
-            op, response = "chase", self._solve_chase(request)
+            op, response = "chase", self._solve_chase(request, memory_only)
         elif isinstance(request, OptimizeRequest):
+            if memory_only:  # a pipeline of lookups, not one probe
+                raise MemoryMiss()
             op, response = "optimize", self._solve_optimize(request)
         elif isinstance(request, RewriteRequest):
-            op, response = "rewrite", self._solve_rewrite(request)
+            op, response = "rewrite", self._solve_rewrite(request, memory_only)
         else:
             raise ReproError(
                 f"unknown request type {type(request).__name__}; expected "
@@ -572,11 +603,13 @@ class Solver:
             probe.request(op, response.elapsed_s, response.cache_hit)
         return response
 
-    def _solve_containment(self, request: ContainmentRequest) -> ContainmentResponse:
+    def _solve_containment(self, request: ContainmentRequest,
+                           memory_only: bool) -> ContainmentResponse:
         config = request.config or self._config
         started = monotonic()
         result, cache_hit = self._decide(
-            request.query, request.query_prime, request.dependencies, config)
+            request.query, request.query_prime, request.dependencies, config,
+            memory_only)
         elapsed = monotonic() - started
         budget = BudgetUsage(
             chase_size=result.chase_size,
@@ -588,14 +621,19 @@ class Solver:
             elapsed_s=elapsed, cache_hit=cache_hit, config=config,
             budget=budget, tag=request.tag, result=result)
 
-    def _solve_chase(self, request: ChaseRequest) -> ChaseResponse:
+    def _solve_chase(self, request: ChaseRequest,
+                     memory_only: bool) -> ChaseResponse:
         config = request.config or self._config
         chase_config = config.chase_config(max_level=request.max_level)
         sigma = (request.dependencies if request.dependencies is not None
                  else DependencySet())
-        self.stats.count("chase_requests")
+        if not memory_only:
+            self.stats.count("chase_requests")
         started = monotonic()
-        result, cache_hit = self._cached_chase(request.query, sigma, chase_config)
+        result, cache_hit = self._cached_chase(request.query, sigma,
+                                               chase_config, memory_only)
+        if memory_only:  # counted only once the probe has hit
+            self.stats.count("chase_requests")
         elapsed = monotonic() - started
         budget = BudgetUsage(
             chase_size=len(result),
@@ -633,12 +671,13 @@ class Solver:
             elapsed_s=elapsed, cache_hit=cache_hit, config=config,
             tag=request.tag, report=report)
 
-    def _solve_rewrite(self, request: RewriteRequest) -> RewriteResponse:
+    def _solve_rewrite(self, request: RewriteRequest,
+                       memory_only: bool) -> RewriteResponse:
         config = request.config or self._config
         started = monotonic()
         report, cache_hit = self._cached_rewrite(
             request.query, request.catalog, request.dependencies,
-            request.cost_model, config)
+            request.cost_model, config, memory_only)
         elapsed = monotonic() - started
         return RewriteResponse(
             elapsed_s=elapsed, cache_hit=cache_hit, config=config,

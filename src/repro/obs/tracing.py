@@ -29,6 +29,11 @@ Outlier capture: a root span slower than the tracer's
 ``slow_op_threshold_s`` is copied — full span tree included — into the
 :class:`SlowOpLog`, so "why was *that* request slow" is answerable after
 the fact without re-running anything.
+
+A root span that an :class:`AbandonTrace` unwinds is dropped unrecorded:
+neither the store nor the slow-op log sees it.  That is how a
+speculative attempt (a memory-only cache probe that missed) leaves the
+one real trace to the attempt that follows it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from repro.obs.clock import monotonic, wall_time
 from repro.obs.metrics import get_registry
 
 __all__ = [
+    "AbandonTrace",
     "Span",
     "SlowOpLog",
     "TraceStore",
@@ -54,6 +60,10 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
 ]
+
+
+class AbandonTrace(Exception):
+    """Raised through a root span to drop its trace unrecorded."""
 
 
 def new_trace_id() -> str:
@@ -209,10 +219,11 @@ class _TraceContext:
         self._token = _CURRENT.set(span)
         return span
 
-    def __exit__(self, *exc_info: Any) -> bool:
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> bool:
         _CURRENT.reset(self._token)
         self._span.finish()
-        self._tracer._finish_trace(self._span)
+        if exc_type is None or not issubclass(exc_type, AbandonTrace):
+            self._tracer._finish_trace(self._span)
         return False
 
 

@@ -10,9 +10,20 @@ the E17 benchmark compares affinity against.
 
 Three execution modes share one request path (``handle_record``):
 
-* ``thread`` — one worker thread per shard (the default).  Shards share
-  a single :class:`~repro.api.persistent.PersistentCache` connection
-  when the config names one.
+* ``thread`` — one worker thread per shard (the default).  Shard threads
+  compute; the caller's thread answers from memory.  A ``contain``,
+  ``chase`` or ``rewrite`` record is first tried on the submitting
+  thread against its shard's solver in memory-only mode, and only a
+  record that shard's in-memory caches cannot answer is queued to the
+  shard thread.  A warm hit therefore never waits behind a chase or
+  crosses a thread, while chases, searches and persistent-store reads
+  stay on shard threads.  The attempt does parse the record's texts,
+  and a hit on a result no request has rendered yet (a chase cached
+  by a containment run) renders its payload there.  Shard threads
+  read the pool's :class:`~repro.service.protocol.TenantParser`, so a
+  miss parses its texts once.  Shards share a single
+  :class:`~repro.api.persistent.PersistentCache` connection when the
+  config names one.
 * ``process`` — one worker process per shard, for CPU parallelism
   beyond the GIL.  Each process opens its own connection to the shared
   persistent-cache file, which is how sibling workers warm each other.
@@ -24,7 +35,8 @@ Every shard queue is bounded: a full queue raises
 :class:`~repro.service.protocol.ServiceOverloaded` at submission time
 instead of buffering without limit, which is the pool's half of the
 service's backpressure story (the asyncio front end adds global
-admission control on top).
+admission control on top).  A hit answered from memory never enters a
+queue.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.backend import CacheBackend
+from repro.api.cache import MemoryMiss
 from repro.api.config import SolverConfig
 from repro.api.persistent import PersistentCache
 from repro.exceptions import ReproError
@@ -128,16 +141,35 @@ class _Shard:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, record: Dict[str, Any]) -> "Future[Dict[str, Any]]":
-        future: "Future[Dict[str, Any]]" = Future()
-        if self._pool.mode == "inline":
+    def submit(self, record: Dict[str, Any],
+               block: bool = False) -> "Future[Dict[str, Any]]":
+        """Answer ``record`` here if memory allows, else enqueue it.
+
+        Inline shards answer everything here.  Thread shards answer a
+        data-plane record here only from memory (see the module
+        docstring).  A record that must be queued raises
+        :class:`ServiceOverloaded` when the inbox is full, unless
+        ``block`` waits for room.
+        """
+        pool = self._pool
+        if pool.mode == "inline":
             self.submitted += 1
-            future.set_result(handle_record(
-                record, self.solver, self._pool.defaults, self._pool.limits,
-                self._pool.parser, self.index))
-            return future
+            return _completed(handle_record(
+                record, self.solver, pool.defaults, pool.limits, pool.parser,
+                self.index))
+        if pool.mode == "thread" and OPS[record["op"]].answered_by == "shard":
+            try:
+                envelope = handle_record(
+                    record, self.solver, pool.defaults, pool.limits,
+                    pool.parser, self.index, memory_only=True)
+            except MemoryMiss:
+                pass
+            else:
+                self.submitted += 1
+                return _completed(envelope)
+        future: "Future[Dict[str, Any]]" = Future()
         try:
-            self._inbox.put_nowait((record, future))
+            self._inbox.put((record, future), block=block)
         except queue.Full:
             raise ServiceOverloaded(
                 f"shard {self.index} has {self._inbox.maxsize} requests pending")
@@ -147,14 +179,14 @@ class _Shard:
     # -- worker loops --------------------------------------------------------
 
     def _thread_main(self) -> None:
-        parser = TenantParser()
+        pool = self._pool
         while True:
             item = self._inbox.get()
             if item is _STOP:
                 break
             record, future = item
-            response = handle_record(record, self.solver, self._pool.defaults,
-                                     self._pool.limits, parser, self.index)
+            response = handle_record(record, self.solver, pool.defaults,
+                                     pool.limits, pool.parser, self.index)
             if not future.cancelled():
                 future.set_result(response)
 
@@ -297,13 +329,14 @@ class ShardedSolverPool:
 
     def submit(self, record: Dict[str, Any],
                routing: Union[str, int] = "affinity") -> "Future[Dict[str, Any]]":
-        """Route and enqueue one record; the future resolves to its envelope.
+        """Route one record; the future resolves to its envelope.
 
         Raises :class:`ServiceOverloaded` (and counts the rejection)
-        when the target shard's inbox is full — backpressure is the
-        caller's problem by design, because only the caller knows
-        whether to shed, retry, or block.  Records answered front side
-        (see :meth:`_prepare`) come back as an already-completed future.
+        when the record must be queued and the target shard's inbox is
+        full — backpressure is the caller's problem by design, because
+        only the caller knows whether to shed, retry, or block.  Records
+        answered front side (see :meth:`_prepare`) or from a thread
+        shard's memory come back as an already-completed future.
         """
         record, index = self._prepare(record, routing)
         if index is None:
@@ -331,15 +364,8 @@ class ShardedSolverPool:
             record, index = self._prepare(record, routing)
             if index is None:
                 futures.append(_completed(record))
-                continue
-            shard = self.shards[index]
-            if self.mode == "inline":
-                futures.append(shard.submit(record))
-                continue
-            future: "Future[Dict[str, Any]]" = Future()
-            shard._inbox.put((record, future))
-            shard.submitted += 1
-            futures.append(future)
+            else:
+                futures.append(self.shards[index].submit(record, block=True))
         return [future.result() for future in futures]
 
     # -- introspection -------------------------------------------------------

@@ -45,6 +45,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.api.cache import MemoryMiss
 from repro.api.config import SolverConfig
 from repro.api.fingerprints import (
     catalog_fingerprint,
@@ -820,7 +821,8 @@ def handle_record(record: Dict[str, Any], solver: Solver,
                   defaults: ServiceDefaults = ServiceDefaults(),
                   limits: ServiceLimits = ServiceLimits(),
                   parser: Optional[TenantParser] = None,
-                  shard: Optional[int] = None) -> Dict[str, Any]:
+                  shard: Optional[int] = None,
+                  memory_only: bool = False) -> Dict[str, Any]:
     """Execute one record against a shard's solver.
 
     A plain dict is validated in full first; a :class:`ValidatedRecord`
@@ -832,7 +834,11 @@ def handle_record(record: Dict[str, Any], solver: Solver,
 
     Never raises: every failure — unparsable tenant text, budget abuse,
     an unexpected engine error — becomes an error envelope, because on
-    the wire an exception has nowhere else to go.
+    the wire an exception has nowhere else to go.  The one exception is
+    ``memory_only``: the solver answers only from its in-memory caches
+    (:meth:`~repro.api.solver.Solver.solve`), and a record they cannot
+    answer raises :class:`~repro.api.cache.MemoryMiss`, having counted
+    and traced nothing, so the caller can hand it to a shard thread.
 
     A record carrying a valid ``trace_context`` executes under a root
     span adopted from it (``service.<op>``), so the phase spans the
@@ -853,7 +859,7 @@ def handle_record(record: Dict[str, Any], solver: Solver,
             if shard is not None:
                 root.tags["shard"] = shard
             envelope = _execute_record(record, solver, defaults, limits,
-                                       parser, shard)
+                                       parser, shard, memory_only)
             root.tags["ok"] = bool(envelope.get("ok"))
         envelope["trace_id"] = root.trace_id
         if context.get("collect"):
@@ -861,13 +867,14 @@ def handle_record(record: Dict[str, Any], solver: Solver,
             if spans:
                 envelope["spans"] = spans
         return envelope
-    return _execute_record(record, solver, defaults, limits, parser, shard)
+    return _execute_record(record, solver, defaults, limits, parser, shard,
+                           memory_only)
 
 
 def _execute_record(record: Dict[str, Any], solver: Solver,
                     defaults: ServiceDefaults, limits: ServiceLimits,
-                    parser: Optional[TenantParser],
-                    shard: Optional[int]) -> Dict[str, Any]:
+                    parser: Optional[TenantParser], shard: Optional[int],
+                    memory_only: bool) -> Dict[str, Any]:
     parser = parser if parser is not None else TenantParser()
     identifier = record.get("id")
     try:
@@ -877,14 +884,17 @@ def _execute_record(record: Dict[str, Any], solver: Solver,
                 "protocol",
                 f"op {record['op']!r} is answered by a front end (pool or "
                 "coordinator), not a shard solver")
-        return _dispatch(record, solver, defaults, limits, parser, shard)
+        return _dispatch(record, solver, defaults, limits, parser, shard,
+                         memory_only)
+    except MemoryMiss:
+        raise
     except Exception as error:
         return failure_envelope(identifier, error, shard)
 
 
 def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
               limits: ServiceLimits, parser: TenantParser,
-              shard: Optional[int]) -> Dict[str, Any]:
+              shard: Optional[int], memory_only: bool) -> Dict[str, Any]:
     op = record["op"]
     if op == "ping":
         return success_envelope(record, {"pong": True,
@@ -921,7 +931,8 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
         config = solver.derive_config(max_conjuncts=max_conjuncts,
                                       saturation_level_cap=max_level)
         response = solver.solve(ContainmentRequest(
-            query, query_prime, sigma, config=config, tag=record.get("id")))
+            query, query_prime, sigma, config=config, tag=record.get("id")),
+            memory_only)
         budget = response.budget
         result = _memoised(response.result, budget, lambda: dict(
             containment_result_to_dict(response.result),
@@ -930,6 +941,8 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
                                  response.cache_hit, shard)
 
     if op == "chase":
+        if memory_only and record.get("trace"):
+            raise MemoryMiss()  # the trace is rendered afresh every time
         max_level = min(record.get("max_level") or limits.max_level,
                         limits.max_level)
         # The config turns the "R"/"O" shorthand into a ChaseVariant.
@@ -937,7 +950,7 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
                                       chase_max_conjuncts=max_conjuncts)
         response = solver.solve(ChaseRequest(
             query, sigma, max_level=max_level, config=config,
-            tag=record.get("id")))
+            tag=record.get("id")), memory_only)
         if record.get("trace"):
             result = chase_result_to_dict(response.result, include_trace=True)
         else:
@@ -960,7 +973,8 @@ def _dispatch(record: Dict[str, Any], solver: Solver, defaults: ServiceDefaults,
     catalog = parser.catalog(views_text, schema_text)
     config = solver.derive_config(max_conjuncts=max_conjuncts)
     response = solver.solve(RewriteRequest(
-        query, catalog, sigma, config=config, tag=record.get("id")))
+        query, catalog, sigma, config=config, tag=record.get("id")),
+        memory_only)
     result = _memoised(response.report, None, response.report.as_dict)
     return success_envelope(record, result, response.elapsed_s,
                              response.cache_hit, shard)

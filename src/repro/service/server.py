@@ -6,6 +6,12 @@ handler awaits each answer before reading the next line); concurrency
 comes from serving many connections, each of which may be pinned to a
 different shard by its tenant's fingerprints.
 
+Thread shards compute; the event loop answers from memory.  A warm
+``contain``/``chase``/``rewrite`` is answered by its shard's in-memory
+caches on the loop's own thread, and its envelope is returned without
+a thread hop or a loop wake-up; only a record those caches cannot
+answer waits on a shard thread (see :mod:`repro.service.pool`).
+
 Backpressure is two-layered:
 
 * **global admission control** — at most ``max_pending`` requests may
@@ -182,9 +188,12 @@ class SolverService:
             return await self._service_stats(record)
         self._in_flight += 1
         try:
-            # The pool resolves a concurrent.futures.Future from a worker
-            # thread/process; wrap_future bridges it into this loop.
-            return await asyncio.wrap_future(self._pool.submit(record))
+            future = self._pool.submit(record)
+            if future.done():  # answered from memory or at the pool front
+                return future.result()
+            # A shard thread/process resolves the future; wrap_future
+            # bridges it into this loop.
+            return await asyncio.wrap_future(future)
         finally:
             self._in_flight -= 1
 

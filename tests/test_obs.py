@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import socket
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.obs.metrics import (
 from repro.obs.probe import MetricsProbe, Probe
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.tracing import (
+    AbandonTrace,
     SlowOpLog,
     TraceStore,
     Tracer,
@@ -278,6 +280,22 @@ class TestTracing:
         tracer = Tracer()
         tracer.absorb("t", [{"span_id": "a"}, "junk", 7])
         assert len(tracer.store.get("t")) == 1
+
+    def test_an_abandoned_root_is_not_recorded(self):
+        tracer = Tracer(slow_log=SlowOpLog(threshold_s=0.0))
+        with pytest.raises(AbandonTrace):
+            with tracer.start_trace("attempt") as root:
+                with maybe_span("phase"):
+                    raise AbandonTrace()
+        assert current_span() is None
+        assert tracer.store.get(root.trace_id) is None
+        assert tracer.slow_log.entries() == []
+        # Any other exception still records the root, as before.
+        with pytest.raises(ValueError):
+            with tracer.start_trace("failed") as failed:
+                raise ValueError("boom")
+        assert [span["name"] for span in tracer.store.get(failed.trace_id)] == [
+            "failed"]
 
 
 class TestSlowOpLog:
@@ -634,6 +652,82 @@ class TestServiceObservability:
             assert spec.answered_by == "front"
             assert not spec.sheddable and not spec.traced
             assert spec.tier == "admin"
+
+
+# ---------------------------------------------------------------------------
+# Thread shards answer warm hits on the caller's thread
+# ---------------------------------------------------------------------------
+
+
+DATA_PLANE = {
+    "contain": {"query": QUERY, "query_prime": QUERY_PRIME},
+    "chase": {"op": "chase", "query": QUERY, "max_level": 3},
+    "rewrite": {"op": "rewrite", "query": QUERY_PRIME,
+                "views": "DEPT_EMP(e, d, l) :- EMP(e, s, d), DEP(d, l)"},
+}
+
+
+def traced(record, trace_id=None):
+    return dict(record, trace_context={"id": trace_id or new_trace_id(),
+                                       "collect": True})
+
+
+def span_tree(spans):
+    """The spans' names as a tree: (name, sorted child trees) from the root."""
+    children = {}
+    for span in spans:
+        children.setdefault(span["parent_id"], []).append(span)
+    ids = {span["span_id"] for span in spans}
+    (root,) = [span for span in spans if span["parent_id"] not in ids]
+
+    def tree(span):
+        return (span["name"], sorted(tree(child) for child in
+                                     children.get(span["span_id"], ())))
+    return tree(root)
+
+
+@pytest.fixture
+def slow_log_everything():
+    """Every root span is slow for the duration of the test."""
+    slow_log = get_tracer().slow_log
+    threshold = slow_log.threshold_s
+    slow_log.threshold_s = 1e-9
+    yield slow_log
+    slow_log.threshold_s = threshold
+
+
+class TestMemoryFirstTracing:
+    @pytest.mark.parametrize("op", sorted(DATA_PLANE))
+    def test_a_warm_hit_traces_like_the_queued_path(self, op):
+        with ShardedSolverPool(shard_count=1, defaults=DEFAULTS) as pool:
+            pool.execute(DATA_PLANE[op])
+            hit = pool.execute(traced(DATA_PLANE[op]))
+            # The queued path: the same record through the shard's inbox.
+            queued: Future = Future()
+            pool.shards[0]._inbox.put((validate_record(traced(DATA_PLANE[op])),
+                                       queued))
+            queued = queued.result(timeout=60)
+        assert hit["cache_hit"] and queued["cache_hit"]
+        assert span_tree(hit["spans"]) == span_tree(queued["spans"])
+        assert span_tree(hit["spans"])[0] == f"service.{op}"
+        assert get_tracer().store.get(hit["trace_id"]) == hit["spans"]
+
+    @pytest.mark.parametrize("op", sorted(DATA_PLANE))
+    def test_a_traced_miss_records_one_root(self, op, slow_log_everything):
+        trace_id = new_trace_id()
+        with ShardedSolverPool(shard_count=1, defaults=DEFAULTS) as pool:
+            envelope = pool.execute(traced(DATA_PLANE[op], trace_id))
+        assert envelope["ok"] and not envelope["cache_hit"]
+        spans = get_tracer().store.get(trace_id)
+        roots = [span for span in spans if span["name"] == f"service.{op}"]
+        assert len(roots) == 1 and roots[0]["parent_id"] is None
+        assert roots[0]["tags"]["shard"] == 0
+        assert spans == envelope["spans"]
+        # The slow-op log saw the shard's run, never the abandoned attempt.
+        logged = [entry for entry in slow_log_everything.entries()
+                  if entry["trace_id"] == trace_id]
+        assert len(logged) == 1
+        assert logged[0]["spans"] == spans
 
 
 # ---------------------------------------------------------------------------

@@ -9,25 +9,32 @@ on.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pickle
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.api import (
     ContainmentRequest,
+    OptimizeRequest,
     PersistentCache,
     Solver,
     SolverConfig,
 )
+from repro.api.cache import LRUCache, MemoryMiss
 from repro.api.fingerprints import query_fingerprint
 from repro.api.persistent import PersistentCacheError, stable_key_digest
 from repro.chase.engine import ChaseVariant
 from repro.parser import parse_dependencies, parse_query, parse_schema
-from repro.obs.tracing import new_trace_id
+from repro.obs import probe as probe_module
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import MetricsProbe
+from repro.obs.tracing import get_tracer, new_trace_id
 from repro.service import (
     ProtocolError,
     ServiceClient,
@@ -40,6 +47,7 @@ from repro.service import (
     handle_record,
     make_worker_solver,
     parse_line,
+    pool as pool_module,
     protocol,
     routing_fingerprints,
     shard_for,
@@ -1321,3 +1329,249 @@ class TestProcessAndPersistenceParity:
         assert warm["cache_hit"]
         assert without_timings({**warm, "cache_hit": False}) == without_timings(
             fresh)
+
+
+# ---------------------------------------------------------------------------
+# Thread shards answer warm hits on the caller's thread
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def private_metrics():
+    """A MetricsProbe on a private registry, installed for the block."""
+    previous = probe_module.uninstall()
+    probe = probe_module.install(MetricsProbe(MetricsRegistry()))
+    try:
+        yield probe.registry
+    finally:
+        probe_module.uninstall()
+        if previous is not None:
+            probe_module.install(previous)
+
+
+def counted_series(registry):
+    """The probe's request and chase-run counters, by label set."""
+    snapshot = registry.snapshot()
+    return {name: snapshot[name]["series"]
+            for name in ("repro_requests_total", "repro_chase_runs_total")}
+
+
+def pool_counters(pool):
+    """Per shard: each cache's (hits, misses, size), requests, submitted."""
+    return [({name: (info.hits, info.misses, info.size)
+              for name, info in shard.solver.cache_info().items()},
+             shard.solver.stats.total_requests, shard.submitted)
+            for shard in pool.shards]
+
+
+#: A chase whose R-chase doubles every level (each fresh atom needs two
+#: more), cut off by its conjunct budget: a second or so of shard time.
+HEAVY_CHASE = {"op": "chase", "id": "cold", "query": "Q(x) :- R(x, y, z)",
+               "schema": "R(a, b, c)", "deps": "R[b] <= R[a]\nR[c] <= R[a]",
+               "max_level": 64, "max_conjuncts": 15_000}
+
+
+class TestMemoryFirstParity:
+    def test_thread_pool_counts_and_answers_like_the_inline_pool(self):
+        stream = TrafficGenerator(tenant_count=8, seed=0).requests(
+            400, stream_seed=0)
+        runs = {}
+        for mode in ("inline", "thread"):
+            with private_metrics() as registry, ShardedSolverPool(
+                    shard_count=2, mode=mode) as pool:
+                envelopes = pool.execute_all(stream)
+                envelopes += [pool.execute(record) for record in stream[:100]]
+                runs[mode] = (envelopes, pool_counters(pool),
+                              counted_series(registry))
+        inline, thread = runs["inline"], runs["thread"]
+        hits = [envelope["cache_hit"] for envelope in inline[0]]
+        assert True in hits and False in hits  # a mixed cold/warm stream
+        assert [without_timings(envelope) for envelope in thread[0]] == [
+            without_timings(envelope) for envelope in inline[0]]
+        assert thread[1] == inline[1]
+        assert thread[2] == inline[2]
+
+    def test_a_memory_only_miss_changes_no_counter(self, tmp_path):
+        store = PersistentCache(str(tmp_path / "untouched.sqlite"))
+        solver, parser = make_worker_solver(persistent_cache=store), TenantParser()
+        tracer = get_tracer()
+        threshold = tracer.slow_log.threshold_s
+        tracer.slow_log.threshold_s = 1e-9
+        trace_id = new_trace_id()
+        try:
+            with private_metrics() as registry:
+                for make in DATA_PLANE_RECORDS.values():
+                    with pytest.raises(MemoryMiss):
+                        handle_record(make(trace_context={"id": trace_id}),
+                                      solver, parser=parser, memory_only=True)
+        finally:
+            tracer.slow_log.threshold_s = threshold
+        assert all((info.hits, info.misses, info.size) == (0, 0, 0)
+                   for info in solver.cache_info().values())
+        assert solver.stats.total_requests == 0
+        untouched = MetricsProbe(MetricsRegistry()).registry
+        assert registry.snapshot() == untouched.snapshot()
+        persistent = solver.cache_stats()["persistent"]
+        assert (persistent["hits"], persistent["misses"], persistent["writes"],
+                persistent["size"]) == (0, 0, 0, 0)
+        assert store.info().requests == 0
+        assert tracer.store.get(trace_id) is None
+        assert trace_id not in {entry["trace_id"]
+                                for entry in tracer.slow_log.entries()}
+        store.close()
+
+    def test_a_memory_only_hit_counts_like_a_queued_hit(self):
+        solvers = [make_worker_solver(), make_worker_solver()]
+        for memory_only, solver in zip((False, True), solvers):
+            for make in DATA_PLANE_RECORDS.values():
+                cold = handle_record(make(), solver)
+                warm = handle_record(make(), solver, memory_only=memory_only)
+                assert warm["cache_hit"] and not cold["cache_hit"]
+                assert without_timings(warm) == without_timings(
+                    {**cold, "cache_hit": True})
+        queued, memory = (solver.stats for solver in solvers)
+        assert solvers[0].cache_info() == solvers[1].cache_info()
+        assert (memory.containment_requests, memory.chase_requests,
+                memory.rewrite_requests) == (queued.containment_requests,
+                                             queued.chase_requests,
+                                             queued.rewrite_requests)
+
+    def test_uncached_answers_always_miss(self):
+        sized_zero = make_worker_solver(SolverConfig(
+            containment_cache_size=0, chase_cache_size=0,
+            rewrite_cache_size=0))
+        solver = make_worker_solver()
+        for make in DATA_PLANE_RECORDS.values():
+            for target in (solver, sized_zero):
+                assert handle_record(make(), target)["ok"]
+            with pytest.raises(MemoryMiss):
+                handle_record(make(), sized_zero, memory_only=True)
+        with pytest.raises(MemoryMiss):  # a trace is rendered afresh
+            handle_record(chase_record(trace=True), solver, memory_only=True)
+        schema = parse_schema(SCHEMA_TEXT)
+        sigma = parse_dependencies(DEPS_TEXT, schema)
+        query, query_prime = (parse_query(QUERY, schema),
+                              parse_query(QUERY_PRIME, schema))
+        certified = solver.config.derive(with_certificate=True)
+        solver.solve(ContainmentRequest(query, query_prime, sigma,
+                                        config=certified))
+        with pytest.raises(MemoryMiss):
+            solver.solve(ContainmentRequest(query, query_prime, sigma,
+                                            config=certified), memory_only=True)
+        solver.solve(OptimizeRequest(query, sigma))
+        with pytest.raises(MemoryMiss):
+            solver.solve(OptimizeRequest(query, sigma), memory_only=True)
+
+    def test_a_miss_parses_its_texts_once(self, monkeypatch):
+        # The memory-only attempt parses on the caller's thread, into the
+        # pool's parser, which the shard thread then reads.
+        parsed = []
+        real_parse_query = protocol.parse_query
+        monkeypatch.setattr(protocol, "parse_query", lambda text, schema: (
+            parsed.append(text), real_parse_query(text, schema))[1])
+        with ShardedSolverPool(shard_count=1, mode="thread") as pool:
+            envelope = pool.execute(contain_record())
+        assert envelope["ok"] and not envelope["cache_hit"]
+        assert sorted(parsed) == sorted([QUERY, QUERY_PRIME])
+
+    def test_ping_and_stats_still_cross_the_shard_inbox(self, monkeypatch):
+        queued = []
+        original = protocol.handle_record
+
+        def spy(record, *args, **kwargs):
+            queued.append((record["op"], kwargs.get("memory_only", False),
+                           threading.current_thread().name))
+            return original(record, *args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "handle_record", spy)
+        with ShardedSolverPool(shard_count=1, mode="thread") as pool:
+            pool.execute({"op": "ping"})
+            pool.stats()
+            pool.execute(contain_record())
+        shard_thread = "repro-shard-0"
+        assert queued[:2] == [("ping", False, shard_thread),
+                              ("stats", False, shard_thread)]
+        # A cold record: one memory-only attempt here, then the shard run.
+        assert [entry[:2] for entry in queued[2:]] == [
+            ("contain", True), ("contain", False)]
+        assert queued[2][2] != shard_thread and queued[3][2] == shard_thread
+
+
+class TestMemoryFirstConcurrency:
+    def test_warm_hit_does_not_wait_behind_a_cold_chase(self):
+        with ShardedSolverPool(shard_count=1, mode="thread") as pool:
+            warm = contain_record(id="warm")
+            assert not pool.execute(warm)["cache_hit"]
+            cold = pool.submit(HEAVY_CHASE)
+            started = time.perf_counter()
+            envelope = pool.submit(warm).result(timeout=60)
+            waited = time.perf_counter() - started
+            assert not cold.done()
+            chased = cold.result(timeout=300)
+        assert envelope["ok"] and envelope["cache_hit"]
+        assert waited < 0.05
+        assert chased["ok"] and chased["elapsed_s"] >= 0.2
+        assert [shard.submitted for shard in pool.shards] == [3]
+
+    def test_concurrent_callers_match_the_inline_pool(self, monkeypatch):
+        stream = TrafficGenerator(tenant_count=8, seed=0).requests(
+            240, stream_seed=1)
+        # One tenant per thread: a tenant's caches answer its own stream
+        # in its own order, so every envelope is determined.
+        tenants = {}
+        for record in stream:
+            tenants.setdefault(record["schema"], []).append(record)
+        with private_metrics() as registry, ShardedSolverPool(
+                shard_count=2, mode="inline") as pool:
+            expected = {tenant: [pool.execute(record) for record in records]
+                        for tenant, records in tenants.items()}
+            inline = (pool_counters(pool), counted_series(registry))
+
+        lookups = {}
+        lock = threading.Lock()
+        real_get = LRUCache.get
+
+        def counting_get(cache, key, memory_only=False):
+            value = real_get(cache, key, memory_only)
+            with lock:  # reached only by a lookup that counted
+                lookups[id(cache)] = lookups.get(id(cache), 0) + 1
+            return value
+
+        monkeypatch.setattr(LRUCache, "get", counting_get)
+        answers, errors = {}, []
+        with private_metrics() as registry, ShardedSolverPool(
+                shard_count=2, mode="thread") as pool:
+
+            def serve(tenant):
+                try:
+                    answers[tenant] = [pool.execute(record)
+                                       for record in tenants[tenant]]
+                except Exception as error:  # surfaced by the assertion below
+                    errors.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=serve, args=(tenant,))
+                           for tenant in tenants]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            threaded = (pool_counters(pool), counted_series(registry))
+            caches = [cache for shard in pool.shards
+                      for cache in (shard.solver._containment_cache,
+                                    shard.solver._chase_cache,
+                                    shard.solver._rewrite_cache)]
+        assert len(threads) == 8
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for tenant, envelopes in expected.items():
+            assert [without_timings(envelope) for envelope in answers[tenant]] == [
+                without_timings(envelope) for envelope in envelopes]
+        assert threaded == inline
+        for cache in caches:
+            info = cache.info()
+            assert info.hits + info.misses == lookups.get(id(cache), 0)
